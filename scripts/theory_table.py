@@ -40,8 +40,9 @@ def main():
     for sp, kk, kerr, one, exp, err, g0 in rows:
         print(f"{sp:8s} {kk:8.4f} meV nm^3 {one:9.4f} "
               f"{exp:8.1f} +- {err:.1f} {g0:8.4f}")
-    print("\nKK quadrature errors are below "
-          f"{max(r[2] for r in rows):.1e} meV nm^3.")
+    print("\neps(iE) comes from the closed-form Kramers-Kronig transform; C3 "
+          f"quadrature errors are below {max(r[2] for r in rows):.1e} "
+          "meV nm^3.")
 
 
 if __name__ == "__main__":

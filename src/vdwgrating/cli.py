@@ -261,8 +261,8 @@ def _cmd_theory(args):
     cfg = load_config(args.config)
     route = args.route
     if args.dump_eps is not None and route == "one-osc":
-        raise _UsageError("--dump-eps needs a route that builds the "
-                          "eps(iE) cache (kk or table)")
+        raise _UsageError("--dump-eps needs a route that evaluates the "
+                          "Tauc-Lorentz eps(iE) (kk or table)")
     cache = None
     if route in ("kk", "table"):
         if cfg.material is None:
@@ -353,13 +353,7 @@ def main(argv=None):
     except _UsageError as exc:
         _fail("usage", exc)
         return 1
-    except (ConfigError, DataFormatError, InvalidInputError) as exc:
-        _fail("input", exc)
-        return 2
-    except FileNotFoundError as exc:
-        _fail("input", exc)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DataFormatError, InvalidInputError, OSError) as exc:
         _fail("input", exc)
         return 2
     except ToolkitError as exc:

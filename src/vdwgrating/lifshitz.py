@@ -14,15 +14,17 @@ absorptive spectrum by the Kramers-Kronig relation
 
     eps(i E) = 1 + (2 / pi) Int_0^inf E' eps2(E') / (E'^2 + E^2) dE',
 
-evaluated here for a Tauc-Lorentz model of an amorphous insulator:
+evaluated here for a Tauc-Lorentz model of an amorphous insulator
+(Jellison & Modine, APL 69, 371 (1996)):
 
     eps2(E) = E_A E_O E_G (E - E_T)^2
               / { [(E^2 - E_O^2)^2 + E_G^2 E^2] E }     for E > E_T,
     eps2(E) = 0                                          below the gap,
 
 with band gap E_T, strength E_A, resonance E_O and width E_G, all in eV.
-Above a hard spectral limit w_max the model tail integrates in closed
-form, so the numerical part of the KK integral has finite support.
+E' eps2(E') is rational, so the transform has a closed form over the
+four roots p of (E'^2 - E_O^2)^2 + E_G^2 E'^2 (see eps_imaginary_axis);
+no quadrature and no spectral cut-off enter.
 
 The atom enters through alpha(iE): either a one-oscillator form
 alpha0 / (1 + (E/E_a)^2) with E_a fixed by the known C6 via
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidInputError, QuadratureError
 from .grating import _finite, _require
@@ -64,7 +65,9 @@ __all__ = [
     "tauc_lorentz_eps2",
 ]
 
-_SPECTRAL_LIMIT_EV = 1e4  # hard upper edge of the modeled spectrum
+# |4 E_O^2 - E_G^2| / (4 E_O^2) below which eps(iE) is interpolated across
+# critical damping, where the two pole pairs merge
+_CRITICAL_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,6 @@ class TaucLorentzParams:
         _require(_finite(vals), "Tauc-Lorentz parameters must be finite")
         _require(all(v > 0 for v in vals),
                  "Tauc-Lorentz parameters must be positive")
-        _require(self.band_gap < _SPECTRAL_LIMIT_EV,
-                 "band gap must lie below the spectral limit")
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,7 @@ class TabulatedPolarizability:
         _require(np.all(alpha >= 0), "alpha must be nonnegative")
         _require(np.all(np.diff(alpha) <= 0),
                  "alpha(iE) must be non-increasing")
+        from scipy.interpolate import PchipInterpolator
         head = min(4, energy.size)
         object.__setattr__(self, "_head",
                            PchipInterpolator(energy[:head], alpha[:head]))
@@ -184,9 +186,6 @@ class TabulatedPolarizability:
         out[hi] = self.alpha[-1] * (e_last / e[hi]) ** 2
         out = np.clip(out, 0.0, None)
         return float(out[0]) if scalar else out
-
-    def alpha_iw(self, energy):
-        return self(energy)
 
 
 def one_oscillator_alpha(energy, atom):
@@ -224,69 +223,75 @@ def tauc_lorentz_eps2(energy, params):
     return float(out) if out.ndim == 0 else out
 
 
-def _kk_tail(w, c_tail, wmax):
-    """Closed-form KK contribution of eps2 ~ C / E'^3 beyond wmax.
+def _atan_over(x, band_gap):
+    """arctan(x / E_T) / x, taken as 1 / E_T where r = x / E_T <= 1e-8
+    (there the series 1 - r^2 / 3 rounds to 1)."""
+    r = x / band_gap
+    ratio = np.ones_like(r)
+    far = r > 1e-8
+    ratio[far] = np.arctan(r[far]) / r[far]
+    return ratio / band_gap
 
-    (2/pi) C Int_wmax^inf dE' / (E'^2 (E'^2 + w^2))
-        = (2/pi) C (1/w^2) [1/wmax - arctan(w/wmax)/w],
-    with the series branch (1/wmax^3)(1/3 - r^2/5 + r^4/7), r = w/wmax,
-    taking over for small r where the bracket cancels.
+
+def _log1p_over(w):
+    """log(1 + w) / w for complex w, accurate as w -> 0 (limit 1)."""
+    lg = np.log(1.0 + w)
+    near = np.abs(w) < 0.5
+    wn = w[near]
+    lg[near] = (0.5 * np.log1p(2.0 * wn.real + np.abs(wn) ** 2)
+                + 1j * np.arctan2(wn.imag, 1.0 + wn.real))
+    return np.divide(lg, w, out=np.ones_like(w), where=w != 0)
+
+
+def _pole_sum(x, band_gap, width, s2):
+    """Int_{E_T}^inf (E' - E_T)^2 / (Q(E') (E'^2 + x^2)) dE' as a sum over
+    the upper-half-plane roots p = (i E_G +- sqrt(s2)) / 2 of Q, with
+    s2 = 4 E_O^2 - E_G^2; the lower roots, their conjugates, double the
+    real part.
     """
-    w = np.asarray(w, dtype=float)
-    r = w / wmax
-    small = r < 1e-4
-    ws = np.where(small, 1.0, w)
-    exact = (1.0 / ws**2) * (1.0 / wmax - np.arctan(ws / wmax) / ws)
-    series = (1.0 / wmax**3) * (1.0 / 3.0 - r**2 / 5.0 + r**4 / 7.0)
-    q = np.where(small, series, exact)
-    return (2.0 / math.pi) * c_tail * q
+    s = np.sqrt(complex(s2))
+    t = _atan_over(x, band_gap)
+    total = np.zeros_like(x)
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1j * width + sign * s)
+        # Q'(p) = 4 p^3 + 2 (E_G^2 - 2 E_O^2) p = +-2i E_G s p at these roots
+        residue = (p - band_gap) ** 2 / (2j * sign * width * s * p)
+        w = (p - 1j * x) / (band_gap - p)
+        term = (_log1p_over(w) / (band_gap - p) - t) / (p + 1j * x)
+        total += 2.0 * (residue * term).real
+    return total
 
 
-def _kk_sum(w, params, n_panels, n_gauss=12, wmax=_SPECTRAL_LIMIT_EV):
-    """Gauss-Legendre KK integral on log-spaced panels over [gap, wmax].
+def eps_imaginary_axis(energy, params):
+    """eps(iE) of the Tauc-Lorentz model, Kramers-Kronig in closed form.
 
-    Vectorized over the requested imaginary energies w (shape (m,)).
-    """
-    edges = np.geomspace(params.band_gap, wmax, n_panels + 1)
-    x, gw = leggauss(n_gauss)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + hw[:, None] * x[None, :]).ravel()
-    weights = (hw[:, None] * gw[None, :]).ravel()
-    f = nodes * tauc_lorentz_eps2(nodes, params) * weights
-    w = np.asarray(w, dtype=float)
-    denom = nodes[None, :] ** 2 + w[:, None] ** 2
-    return (2.0 / math.pi) * (f[None, :] / denom).sum(axis=1)
+    Vectorized over energy (eV, >= 0).  With Q(E) = (E^2 - E_O^2)^2 +
+    E_G^2 E^2 = prod_k (E - p_k) and residues c_k = (p_k - E_T)^2 / Q'(p_k),
 
+        eps(iE) - 1 = (2/pi) E_A E_O E_G Re sum_k c_k
+            [log((E_T - iE) / (E_T - p_k)) - (p_k - iE) arctan(E/E_T) / E]
+            / ((p_k - iE) (p_k + iE)),
 
-def eps_imaginary_axis(energy, params, tol=1e-10, max_panels=4096):
-    """eps(iE) of the Tauc-Lorentz model by the Kramers-Kronig transform.
-
-    Vectorized over energy (eV, >= 0).  Panels double until the result
-    moves by less than tol relative, then the analytic spectral tail is
-    added.  Raises QuadratureError if max_panels is not enough.
+    where the bracket vanishes with p_k - iE, so the quotient is taken as
+    log1p(w) / w with w = (p_k - iE) / (E_T - p_k).  At critical damping
+    (E_G = 2 E_O) two pole pairs merge and the residues diverge; within
+    a relative band of 1e-6 around it the pole sum is interpolated
+    linearly in 4 E_O^2 - E_G^2 between the band edges.
     """
     e = np.asarray(energy, dtype=float)
     _require(_finite(e) and np.all(e >= 0), "energy must be >= 0")
-    scalar = e.ndim == 0
-    w = np.atleast_1d(e)
-    c_tail = params.strength * params.resonance * params.width
-    tail = _kk_tail(w, c_tail, _SPECTRAL_LIMIT_EV)
-    n = 64
-    prev = _kk_sum(w, params, n)
-    while True:
-        n *= 2
-        cur = _kk_sum(w, params, n)
-        delta = np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30))
-        if delta <= tol:
-            break
-        if n >= max_panels:
-            raise QuadratureError(
-                f"KK transform stalled at {delta:.3e} relative with "
-                f"{n} panels", achieved=float(delta))
-        prev = cur
-    out = 1.0 + cur + tail
-    return float(out[0]) if scalar else out
+    x = np.atleast_1d(e)
+    e_t, e_o, e_g = params.band_gap, params.resonance, params.width
+    s2 = (2.0 * e_o - e_g) * (2.0 * e_o + e_g)
+    h = _CRITICAL_BAND * 4.0 * e_o**2
+    if abs(s2) < h:
+        below = _pole_sum(x, e_t, math.sqrt(4.0 * e_o**2 + h), -h)
+        above = _pole_sum(x, e_t, math.sqrt(4.0 * e_o**2 - h), h)
+        total = below + (above - below) * (s2 + h) / (2.0 * h)
+    else:
+        total = _pole_sum(x, e_t, e_g, s2)
+    out = 1.0 + (2.0 / math.pi) * params.strength * e_o * e_g * total
+    return float(out[0]) if e.ndim == 0 else out
 
 
 def g_from_eps(eps):
@@ -296,56 +301,33 @@ def g_from_eps(eps):
     return float(out) if out.ndim == 0 else out
 
 
-def static_response_g0(params, tol=1e-10):
+def static_response_g0(params):
     """Static limit g0 = (eps(0) - 1) / (eps(0) + 1) of the model surface."""
-    return g_from_eps(eps_imaginary_axis(0.0, params, tol))
+    return g_from_eps(eps_imaginary_axis(0.0, params))
 
 
 class CachedDielectric:
-    """eps(iE) of a Tauc-Lorentz surface, precomputed and interpolated.
+    """eps(iE) of a Tauc-Lorentz surface, evaluated in closed form.
 
-    The constructor evaluates the KK transform once on a fixed grid
-    (E = 0 plus log-spaced nodes up to the spectral limit) and fits a
-    shape-preserving cubic through the values.  Queries then cost an
-    interpolation; beyond the grid eps - 1 falls off as 1/E^2.  The
-    attribute interp_error holds the largest |interpolated - direct|
-    found at probe energies between grid nodes.
+    eps, g and g0 call eps_imaginary_axis directly.  grid holds E = 0
+    plus 511 log-spaced energies from 1e-3 to 1e4 eV, and values the
+    exact eps(iE) there, as written by `theory --dump-eps`.
     """
 
-    def __init__(self, params, n_nodes=512, e_lo=1e-3, tol=1e-10):
-        _require(int(n_nodes) >= 16, "need at least 16 grid nodes")
-        _require(0 < e_lo < _SPECTRAL_LIMIT_EV, "e_lo out of range")
+    def __init__(self, params):
         self.params = params
-        grid = np.concatenate(
-            [[0.0], np.geomspace(e_lo, _SPECTRAL_LIMIT_EV, int(n_nodes) - 1)])
-        values = eps_imaginary_axis(grid, params, tol)
-        self.grid = grid
-        self.values = values
-        self._pchip = PchipInterpolator(grid, values)
-        self._e_hi = grid[-1]
-        self._eps_hi = float(values[-1])
-        probes = np.geomspace(e_lo * 3.0, 1e3, 9)
-        direct = eps_imaginary_axis(probes, params, tol)
-        self.interp_error = float(np.max(np.abs(self._pchip(probes) - direct)))
+        self.grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 511)])
+        self.values = eps_imaginary_axis(self.grid, params)
 
     def eps(self, energy):
-        e = np.asarray(energy, dtype=float)
-        _require(_finite(e) and np.all(e >= 0), "energy must be >= 0")
-        scalar = e.ndim == 0
-        e = np.atleast_1d(e)
-        out = np.empty_like(e)
-        inside = e <= self._e_hi
-        out[inside] = self._pchip(e[inside])
-        far = ~inside
-        out[far] = 1.0 + (self._eps_hi - 1.0) * (self._e_hi / e[far]) ** 2
-        return float(out[0]) if scalar else out
+        return eps_imaginary_axis(energy, self.params)
 
     def g(self, energy):
         return g_from_eps(self.eps(energy))
 
     @property
     def g0(self):
-        """Static surface response from the exact E = 0 grid value."""
+        """Static surface response from the E = 0 grid value."""
         return g_from_eps(float(self.values[0]))
 
 
@@ -365,7 +347,7 @@ def _surface_g(surface):
     if isinstance(surface, (LorentzSurface, CachedDielectric)):
         return surface.g
     if isinstance(surface, TaucLorentzParams):
-        return CachedDielectric(surface).g
+        return lambda energy: g_from_eps(eps_imaginary_axis(energy, surface))
     raise InvalidInputError(
         "surface must be LorentzSurface, CachedDielectric or "
         "TaucLorentzParams")
@@ -393,9 +375,9 @@ def c3_lifshitz(atom, surface, tol=1e-8, e_ref=None):
     half-height energy of a tabulated alpha), which puts the integrand's
     bulk in the middle of the x range.
 
-    Returns a C3Result whose error field combines the last doubling
-    change with the propagated eps-interpolation error of a cached
-    surface.
+    Returns a C3Result whose error field is the last doubling change.
+    The surface may be a LorentzSurface, a CachedDielectric or raw
+    TaucLorentzParams; the latter two give g(iE) in closed form.
     """
     _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
     alpha_fn, auto_ref = _atom_alpha(atom)
@@ -416,14 +398,13 @@ def c3_lifshitz(atom, surface, tol=1e-8, e_ref=None):
         e = e_ref * np.tan(x)
         jac = e_ref / np.cos(x) ** 2
         a = np.asarray(alpha_fn(e), dtype=float)
-        return float(np.sum(wts * a * g_fn(e) * jac)), \
-            float(np.sum(wts * a * jac))
+        return float(np.sum(wts * a * g_fn(e) * jac))
 
     n = 16
-    prev, _ = panel_sum(n)
+    prev = panel_sum(n)
     while True:
         n *= 2
-        cur, alpha_int = panel_sum(n)
+        cur = panel_sum(n)
         delta = abs(cur - prev) / max(abs(cur), 1e-300)
         if delta <= tol:
             break
@@ -434,9 +415,6 @@ def c3_lifshitz(atom, surface, tol=1e-8, e_ref=None):
         prev = cur
     c3 = 1000.0 * cur / (4.0 * math.pi)  # eV nm^3 -> meV nm^3
     err = 1000.0 * abs(cur - prev) / (4.0 * math.pi)
-    if isinstance(surface, CachedDielectric):
-        # |dg/deps| = 2/(eps+1)^2 <= 1/2 for eps >= 1
-        err += 1000.0 * surface.interp_error * 0.5 * alpha_int / (4.0 * math.pi)
     return C3Result(c3=c3, error=err)
 
 

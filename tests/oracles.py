@@ -7,6 +7,7 @@ Slow is fine; these run on a handful of points.
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
@@ -133,6 +134,26 @@ def kk_eps_brute(w, band_gap, strength, resonance, width, n_panels=2_000_000,
     else:
         q = (1 / w**2) * (1 / wmax - math.atan(w / wmax) / w)
     return 1.0 + main + (2 / math.pi) * c_tail * q
+
+
+def kk_eps_mpmath(w, band_gap, strength, resonance, width, dps=40):
+    """eps(iw) by tanh-sinh quadrature of the Kramers-Kronig integral over
+    [band_gap, inf) at dps significant digits, with no spectral cut-off.
+
+    The range is split at the resonance, past the Lorentz peak and at w,
+    so that every scale of the integrand sits at a panel edge.
+    """
+    with mpmath.workdps(dps):
+        eg, a, e0, c, w = (mpmath.mpf(v) for v in
+                           (band_gap, strength, resonance, width, w))
+
+        def integrand(e):
+            q = (e * e - e0 * e0) ** 2 + c * c * e * e
+            return a * e0 * c * (e - eg) ** 2 / (q * (e * e + w * w))
+
+        cuts = sorted({eg, max(e0, eg), eg + 2 * (e0 + c), max(w, eg)})
+        val = mpmath.quad(integrand, cuts + [mpmath.inf])
+        return float(1 + 2 * val / mpmath.pi)
 
 
 def c3_semi_infinite_sum(alpha0, g0, ea, es):

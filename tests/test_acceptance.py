@@ -229,7 +229,7 @@ class TestCriterion7QuadratureRobustness:
         for w in (0.0, 1.0, 5.0, 20.0, 100.0):
             brute = kk_eps_brute(w, tl_params.band_gap, tl_params.strength,
                                  tl_params.resonance, tl_params.width)
-            got = eps_imaginary_axis(w, tl_params, tol=1e-10)
+            got = eps_imaginary_axis(w, tl_params)
             kk_rel = max(kk_rel, abs(got - brute) / brute)
 
         ok = orders_ok and c3_ok and kk_rel < 1e-6

@@ -149,7 +149,7 @@ class TestPolarizabilityTable:
             "10.0  0.001\n")
         table = load_polarizability_table(path)
         assert table.alpha0 == pytest.approx(0.05)
-        assert table.alpha_iw(10.0) == pytest.approx(0.001)
+        assert table(10.0) == pytest.approx(0.001)
 
     def test_first_energy_must_be_zero(self, tmp_path):
         path = tmp_path / "alpha.dat"

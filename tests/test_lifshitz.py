@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vdwgrating
 from vdwgrating import (
     CachedDielectric,
     InvalidInputError,
@@ -23,7 +27,7 @@ from vdwgrating import (
 )
 from vdwgrating.constants import C6_AU_EV_NM6
 
-from oracles import c3_semi_infinite_sum, kk_eps_brute
+from oracles import c3_semi_infinite_sum, kk_eps_brute, kk_eps_mpmath
 
 
 class TestTaucLorentz:
@@ -62,6 +66,54 @@ class TestKramersKronig:
             got = eps_imaginary_axis(w, tl_params)
             assert got == pytest.approx(brute, rel=1e-6)
 
+    def test_against_mpmath(self, tl_params):
+        # the closed form is exact, so only rounding separates it from a
+        # 40-digit quadrature, from the static limit to far above 1e4 eV
+        for w in (0.0, 1e-8, 1e-3, 1e4, 4e4, 1e6):
+            ref = kk_eps_mpmath(w, tl_params.band_gap, tl_params.strength,
+                                tl_params.resonance, tl_params.width)
+            got = eps_imaginary_axis(w, tl_params)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-9, -1e-9])
+    def test_critical_damping_against_mpmath(self, shift):
+        # at width = 2 resonance two pole pairs merge and the residues
+        # diverge; the result must stay finite and accurate there
+        params = TaucLorentzParams(band_gap=2.29, strength=74.5,
+                                   resonance=7.17,
+                                   width=2 * 7.17 * (1 + shift))
+        w = np.array([0.0, 1e-3, 1.0, 7.17, 100.0, 1e4, 1e6])
+        got = eps_imaginary_axis(w, params)
+        ref = [kk_eps_mpmath(x, params.band_gap, params.strength,
+                             params.resonance, params.width) for x in w]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
+    def test_overdamped_pole_at_query_energy(self):
+        # for width > 2 resonance the roots of Q lie on the imaginary
+        # axis, at i y; at E = y a root meets the removable point i E
+        params = TaucLorentzParams(band_gap=2.29, strength=74.5,
+                                   resonance=3.0, width=10.0)
+        root = math.sqrt(10.0**2 - 4 * 3.0**2)
+        for y in (0.5 * (10.0 + root), 0.5 * (10.0 - root)):
+            for w in (y, y * (1 + 1e-9)):
+                ref = kk_eps_mpmath(w, params.band_gap, params.strength,
+                                    params.resonance, params.width)
+                assert eps_imaginary_axis(w, params) == \
+                    pytest.approx(ref, rel=1e-12)
+
+    @given(band_gap=st.floats(0.5, 8.0), strength=st.floats(1.0, 500.0),
+           resonance=st.floats(1.0, 30.0), width=st.floats(0.5, 40.0),
+           w=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    @settings(max_examples=25, deadline=None)
+    def test_sweep_against_brute_force(self, band_gap, strength, resonance,
+                                       width, w):
+        # width spans both sides of 2 resonance: under- and over-damped
+        params = TaucLorentzParams(band_gap, strength, resonance, width)
+        brute = kk_eps_brute(w, band_gap, strength, resonance, width)
+        assert eps_imaginary_axis(w, params) == pytest.approx(brute,
+                                                              rel=1e-6)
+
     def test_frozen_values(self, tl_params):
         # anchors confirmed against the brute-force oracle and an
         # extended-precision quadrature of the same integrand
@@ -96,25 +148,19 @@ class TestCachedDielectric:
         direct = eps_imaginary_axis(probes, tl_params)
         np.testing.assert_allclose(cache.eps(probes), direct, atol=5e-6)
 
-    def test_reported_interp_error_is_honest(self, tl_params):
-        cache = CachedDielectric(tl_params)
-        probes = np.geomspace(3e-3, 3e3, 40)
-        direct = eps_imaginary_axis(probes, tl_params)
-        worst = float(np.max(np.abs(cache.eps(probes) - direct)))
-        assert worst <= 5 * cache.interp_error + 1e-9
-
     def test_static_node_exact(self, tl_params):
         cache = CachedDielectric(tl_params)
         assert cache.g0 == pytest.approx(static_response_g0(tl_params),
                                          rel=1e-12)
 
     def test_tail_beyond_grid(self, tl_params):
+        # past the 1e4 eV grid edge eps is still the exact transform; its
+        # falloff is not a pure 1/E^2 (the ratio at 2e4/4e4 is 3.99875)
         cache = CachedDielectric(tl_params)
-        # 1/E^2 falloff of eps - 1 past the grid edge; the subtraction
-        # of 1 from eps ~ 1 + 4e-9 limits the attainable precision
-        e1, e2 = 2e4, 4e4
-        r = (cache.eps(e1) - 1.0) / (cache.eps(e2) - 1.0)
-        assert r == pytest.approx(4.0, rel=1e-6)
+        for w in (2e4, 4e4, 1e5):
+            ref = kk_eps_mpmath(w, tl_params.band_gap, tl_params.strength,
+                                tl_params.resonance, tl_params.width)
+            assert cache.eps(w) == pytest.approx(ref, rel=1e-12)
 
 
 class TestLifshitzIntegral:
@@ -230,6 +276,16 @@ class TestTabulatedPolarizability:
         with pytest.raises(InvalidInputError):
             TabulatedPolarizability(np.array([0.0, 1.0, 2.0]),
                                     np.array([0.05, 0.02, 0.03]))
+
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        # PCHIP is imported only when a table is built
+        package = os.path.dirname(os.path.abspath(vdwgrating.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        code = ("import sys, vdwgrating; "
+                "print('scipy.interpolate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidInputError):
