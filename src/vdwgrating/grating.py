@@ -18,8 +18,9 @@ amplitude of one slit at diffraction angle theta is
                * Int_0^{s0/2} cos[b (s0/2 - zeta)] tau(zeta) dzeta,
 
 b = k sin(theta), which folds the two half-slits together.  phi diverges
-at the wall, so the integrand oscillates without bound as zeta -> 0; see
-_slit_integrals for how the quadrature handles that.
+at the wall, so the integrand oscillates without bound as zeta -> 0; the
+quadrature takes that wall piece along the steepest-descent contour of
+exp(i phi) in the complex zeta plane, where it decays (see _slit_integrals).
 
 Intensities: R_n = |f(theta_n)|^2 normalized so the retained orders sum
 to one.  A full angular pattern multiplies |f|^2 by the N-slit grating
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .constants import ATOMIC_MASS_KG, EV_J, HBAR_EV_S, NM_PER_M, PLANCK_EV_S
@@ -264,12 +266,12 @@ def diffraction_angle(order, wavelength, period):
 class _WallPhase:
     """Closed-form eikonal phase of one tapered bar wall.
 
-    phi(z)   = A (2 z + c) / (2 z^2 (z + c)^2)
-    phi'(z)  = phi * L,   L = 2/(2z+c) - 2/z - 2/(z+c)
-    phi''(z) = phi * (L^2 + L')
+    phi(z)  = A (2 z + c) / (2 z^2 (z + c)^2)
+    phi'(z) = phi * L,   L = 2/(2z+c) - 2/z - 2/(z+c)
 
     with A = C3 t / (hbar v) in nm^3 and c = t tan(beta) in nm.  The
-    rational forms stay exact for c = 0 where phi reduces to A / z^3.
+    rational forms stay exact for c = 0, where phi = A / z^3, and for
+    complex z.  phi never forms z^4, so tiny z (tiny A) stay in range.
     """
 
     __slots__ = ("a", "c")
@@ -281,22 +283,12 @@ class _WallPhase:
         self.c = geometry.bar_depth * math.tan(geometry.wedge_angle)
 
     def phi(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.a * (2.0 * z + self.c) / (2.0 * z**2 * (z + self.c) ** 2)
+        zc = z * (z + self.c)
+        return (self.a / zc) * (2.0 * z + self.c) / (2.0 * zc)
 
-    def _logder(self, z):
+    def logder(self, z):
+        """phi'(z) / phi(z)."""
         return 2.0 / (2.0 * z + self.c) - 2.0 / z - 2.0 / (z + self.c)
-
-    def dphi(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.phi(z) * self._logder(z)
-
-    def d2phi(self, z):
-        z = np.asarray(z, dtype=float)
-        lam = self._logder(z)
-        dlam = (-4.0 / (2.0 * z + self.c) ** 2 + 2.0 / z**2
-                + 2.0 / (z + self.c) ** 2)
-        return self.phi(z) * (lam * lam + dlam)
 
 
 def wall_phase(zeta, potential, geometry, beam):
@@ -316,100 +308,121 @@ def transmission_factor(zeta, potential, geometry, beam):
 # ---------------------------------------------------------------------------
 # Oscillatory slit quadrature
 #
-# Strategy: cut [0, s0/2] at zeta_min chosen so the stationary-phase
-# bound on the discarded piece is below eta; replace the discarded piece
-# with the first two integration-by-parts endpoint terms at zeta_min
-# (their size also bounds the truncation error); split the rest into
-# panels across which neither the wall phase nor the Fourier phase
-# b * zeta advances by more than the budget, and apply 8-point
-# Gauss-Legendre on each.  All orders share one mesh, so tau is
-# evaluated once and each order costs a cosine-weighted dot product.
+# Strategy: split [0, s0/2] at s where the wall phase has fallen to
+# _PHI_SPLIT (at s0/4 if phi is still above that there).  On the wall piece
+# [0, s] the contour follows the steepest-descent path z(p), phi(z) =
+# phi(s) + i p, from s into the wall, where e^{i phi} decays like e^{-p},
+# so with g(z) = cos[b (s0/2 - z)] and dz = i dp / phi'(z)
+#
+#   Int_0^s g e^{i phi} dz = -i e^{i phi(s)} Int_0^inf e^{-p} g(z) / phi'(z) dp
+#
+# by Gauss-Laguerre in p (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
+# 1026 (2006)).  The outer piece [s, s0/2], where phi <= _PHI_SPLIT, gets
+# 8-point Gauss-Legendre panels across which neither phi nor b zeta moves
+# by more than the phase budget and whose widths grow geometrically from
+# s, as phi varies on the scale of zeta.  So the node count depends on the
+# budget, the Laguerre order and log(s0/s), not on C3/v.  All orders share
+# the nodes; each order costs a cosine-weighted dot product.
 
-_GAUSS_N = 8
-_PANEL_CAP = 2_000_000
-_CUTOFF_FLOOR = 1e-7  # nm; smallest admissible cutoff scan point
+_PHI_SPLIT = 10.0  # rad; wall phase at the split point
+_NEWTON_STEPS = 30  # iteration cap of one Newton solve
+_GAUSS_X, _GAUSS_W = leggauss(8)
+# (phase budget per panel, Gauss-Laguerre rule): coarse, fine, escalation
+_PASSES = tuple((budget, laggauss(n)) for budget, n in
+                ((math.pi / 4, 10), (math.pi / 8, 20), (math.pi / 16, 40)))
 
 
-def _cutoff(ph, half, b_max, eta):
-    """Largest zeta where the endpoint-term error bound drops below eta.
+def _invert_phase(ph, targets, z):
+    """Solve phi(z) = targets by Newton's method in log z, starting at z.
 
-    The bound b_max/phi'^2 + |phi''|/|phi'|^3 decreases toward the wall
-    and blows up where phi' flattens, so the admissible region is a left
-    segment of the scan grid and its last True entry is the answer.
+    d log(phi) / d log(z) lies in [-3, -2], so every step at least halves
+    the error from any start.  The roots only place the split and edges.
     """
-    zz = np.geomspace(_CUTOFF_FLOOR, half / 4.0, 4000)
-    p1 = np.abs(ph.dphi(zz))
-    p2 = np.abs(ph.d2phi(zz))
-    with np.errstate(divide="ignore", over="ignore"):
-        bound = b_max / p1**2 + p2 / p1**3
-    ok = bound <= eta
-    if not ok.any():
-        raise QuadratureError(
-            "no admissible wall cutoff: requested tolerance too tight "
-            "for the endpoint expansion")
-    return float(zz[np.nonzero(ok)[0][-1]])
+    u, log_t = np.log(z), np.log(targets)
+    for _ in range(_NEWTON_STEPS):
+        z = np.exp(u)
+        du = (np.log(ph.phi(z)) - log_t) / (z * ph.logder(z))
+        u = u - du
+        if np.all(np.abs(du) <= 1e-10):
+            break
+    return np.exp(u)
 
 
-def _invert_phase(ph, targets, z_lo, z_hi):
-    """Solve phi(z) = target on [z_lo, z_hi] for decreasing targets.
-
-    Seeds from log-log interpolation on a dense grid, then polishes with
-    a few clipped Newton steps.  Exactness is not required; the roots
-    only become panel boundaries.
-    """
-    zz = np.geomspace(z_lo, z_hi, 4096)
-    pp = ph.phi(zz)
-    # interp wants increasing abscissae; phi decreases along zz
-    z = np.exp(np.interp(np.log(targets[::-1]), np.log(pp[::-1]),
-                         np.log(zz[::-1])))[::-1]
-    for _ in range(4):
-        z = z - (ph.phi(z) - targets) / ph.dphi(z)
-        z = np.clip(z, z_lo, z_hi)
-    return z
+def _split_point(ph, half):
+    """s with phi(s) = _PHI_SPLIT, or half / 2 if phi(half / 2) is larger."""
+    if ph.phi(half / 2.0) >= _PHI_SPLIT:
+        return half / 2.0
+    # phi <= min(A / z^3, A / (2 c z^2)) <= 4 phi: start at the bound's root
+    z = (ph.a / _PHI_SPLIT) ** (1.0 / 3.0)
+    if ph.c > 0:
+        z = min(z, math.sqrt(ph.a / (2.0 * ph.c * _PHI_SPLIT)))
+    return float(_invert_phase(ph, _PHI_SPLIT, z))
 
 
-def _mesh_edges(ph, z_min, half, b_max, budget):
-    """Panel edges on [z_min, half] bounding the phase change per panel."""
-    pieces = [np.linspace(z_min, half, 9)]
+def _mesh_edges(ph, s, half, b_max, budget):
+    """Panel edges on [s, half] bounding the phase change per panel."""
+    pieces = [np.linspace(s, half, 9)]
     if ph.a > 0:
-        dphi_total = float(ph.phi(z_min) - ph.phi(half))
-        n_vdw = int(dphi_total // budget)
-        if n_vdw > _PANEL_CAP:
-            raise QuadratureError(
-                f"wall-phase panel count {n_vdw} exceeds cap {_PANEL_CAP}")
-        if n_vdw > 0:
-            targets = float(ph.phi(z_min)) - budget * np.arange(1, n_vdw + 1)
-            pieces.append(_invert_phase(ph, targets, z_min, half))
-    if b_max * (half - z_min) > budget:
-        pieces.append(np.arange(z_min, half, budget / b_max))
-    edges = np.unique(np.concatenate(pieces))
-    return np.clip(edges, z_min, half)
+        phi_s = float(ph.phi(s))
+        n_phi = int((phi_s - float(ph.phi(half))) // budget)
+        targets = phi_s - budget * np.arange(1, n_phi + 1)
+        pieces.append(_invert_phase(ph, targets, s))
+        n_geo = math.ceil(math.log(half / s) / math.log1p(budget / 2.0))
+        pieces.append(np.geomspace(s, half, n_geo + 1))
+    if b_max * (half - s) > budget:
+        pieces.append(np.arange(s, half, budget / b_max))
+    return np.clip(np.unique(np.concatenate(pieces)), s, half)
 
 
 def _gauss_nodes(edges):
-    x, w = leggauss(_GAUSS_N)
     mid = 0.5 * (edges[1:] + edges[:-1])
     hw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + hw[:, None] * x[None, :]).ravel()
-    weights = (hw[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + hw[:, None] * _GAUSS_X[None, :]).ravel()
+    weights = (hw[:, None] * _GAUSS_W[None, :]).ravel()
     return nodes, weights
 
 
-def _endpoint_terms(ph, delta, bs, half):
-    """First two IBP terms for Int_0^delta cos[b(half-z)] e^{i phi} dz.
+def _newton(ph, z, w):
+    """Polish z to phi(z) = w, or raise QuadratureError."""
+    # quadratic convergence: a last step below 1e-10 |z| leaves ~1e-20 |z|
+    for _ in range(_NEWTON_STEPS):
+        f = ph.phi(z)
+        dz = (f - w) / (f * ph.logder(z))
+        z -= dz
+        if abs(dz) <= 1e-10 * abs(z):
+            return z
+    raise QuadratureError(f"steepest-descent path lost: Newton did not "
+                          f"converge at phi = {w:.6g}")
 
-    Returns (complex correction per b, |last term| per b); the size of
-    the last retained term is the usual asymptotic-series estimate of
-    the truncation error.
-    """
-    g = np.cos(bs * (half - delta))
-    gp = bs * np.sin(bs * (half - delta))
-    p1 = float(ph.dphi(np.asarray(delta)))
-    p2 = float(ph.d2phi(np.asarray(delta)))
-    w1 = -1j * g / p1
-    w2 = -gp / p1**2 + g * p2 / p1**3
-    corr = np.exp(1j * float(ph.phi(np.asarray(delta)))) * (w1 - w2)
-    return corr, np.abs(w2)
+
+def _descent_path(ph, s, w):
+    """Points z_j on phi(z_j) = w_j = phi(s) + i p_j (p_j rising) from s."""
+    if ph.c == 0:
+        return (ph.a / w) ** (1.0 / 3.0)
+    out = np.empty(w.size, dtype=complex)
+    z, w_at = complex(s), complex(w[0].real)
+    for j, target in enumerate(w.tolist()):
+        # sub-steps with |dw| <= |w| / 4 keep Newton on the branch
+        n_sub = math.ceil(4.0 * abs(target - w_at) / abs(w_at))
+        dw = (target - w_at) / n_sub
+        for _ in range(n_sub):
+            # predictor: locally phi ~ z^alpha with alpha = z logder(z)
+            z *= (1.0 + dw / w_at) ** (1.0 / (z * ph.logder(z)))
+            w_at += dw
+            z = _newton(ph, z, w_at)
+        out[j] = z
+    return out
+
+
+def _wall_piece(ph, bs, half, s, rule):
+    """Int_0^s cos[b (half - z)] e^{i phi(z)} dz along the descent path."""
+    p, weights = rule
+    phi_s = float(ph.phi(s))
+    w = phi_s + 1j * p
+    z = _descent_path(ph, s, w)
+    # on the path phi'(z) = phi(z) logder(z) = w logder(z)
+    core = -1j * np.exp(1j * phi_s) * weights / (w * ph.logder(z))
+    return np.cos(np.outer(bs, half - z)) @ core
 
 
 def _cos_dot(bs, nodes, core, half):
@@ -422,54 +435,41 @@ def _cos_dot(bs, nodes, core, half):
     return out
 
 
-def _integrals_once(ph, bs, half, budget, eta):
-    """One quadrature pass; returns (values, per-b truncation bound)."""
-    b_max = float(bs.max())
-    if ph.a == 0:
-        edges = _mesh_edges(ph, 0.0, half, b_max, budget)
-        nodes, weights = _gauss_nodes(edges)
-        vals = _cos_dot(bs, nodes, weights.astype(complex), half)
-        return vals, np.zeros_like(bs)
-    z_min = _cutoff(ph, half, b_max, eta)
-    edges = _mesh_edges(ph, z_min, half, b_max, budget)
+def _integrals_once(ph, bs, half, s, budget, rule):
+    """One quadrature pass at one phase budget and Laguerre rule."""
+    edges = _mesh_edges(ph, s, half, float(bs.max()), budget)
     nodes, weights = _gauss_nodes(edges)
-    core = weights * np.exp(1j * ph.phi(nodes))
-    vals = _cos_dot(bs, nodes, core, half)
-    corr, tail_abs = _endpoint_terms(ph, z_min, bs, half)
-    return vals + corr, tail_abs
+    if ph.a == 0:
+        return _cos_dot(bs, nodes, weights.astype(complex), half)
+    outer = _cos_dot(bs, nodes, weights * np.exp(1j * ph.phi(nodes)), half)
+    return outer + _wall_piece(ph, bs, half, s, rule)
 
 
 def _slit_integrals(potential, geometry, beam, bs, tol):
     """Int_0^{s0/2} cos[b (s0/2 - zeta)] e^{i phi(zeta)} dzeta for many b.
 
-    Returns (values, error estimates), both length len(bs), in nm.  The
-    estimate per b is |fine - coarse| between two passes with halved
-    phase budget plus the endpoint truncation bound of the fine pass.
-    Convergence is judged against tol * (s0/2), the zero-order scale;
-    one extra refinement is attempted before raising QuadratureError.
+    Returns (values, error estimates), both length len(bs), in nm.  A pass
+    adds the wall piece [0, s], by Gauss-Laguerre on the steepest-descent
+    path, to Gauss-Legendre panels on [s, s0/2] (see the strategy note).
+    The estimate per b is |fine - coarse| between the passes (phase budget
+    pi/4, 10 Laguerre nodes) and (pi/8, 20), plus 1e-15 s0/2, judged
+    against tol * (s0/2), the zero-order scale.  One escalation pass (pi/16,
+    40) runs before QuadratureError, also raised if the path is lost.
     """
     _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
     bs = np.asarray(bs, dtype=float)
     _require(_finite(bs) and np.all(bs >= 0), "b values must be >= 0")
     ph = _WallPhase(potential, geometry, beam)
     half = geometry.half_width
-    scale = half
-    # At the default tol of 1e-8 this reproduces the documented policy
-    # of discarding less than 1e-10 of the zero-order scale.
-    eta = scale * tol / 100.0
-    floor = 1e-15 * scale
-
-    # Both passes share the cutoff, so their difference probes the panel
-    # error; the endpoint bound accounts for the common truncation.
-    coarse, _ = _integrals_once(ph, bs, half, math.pi / 4.0, eta)
-    fine, tail = _integrals_once(ph, bs, half, math.pi / 8.0, eta)
-    est = np.abs(fine - coarse) + tail + floor
-    if np.any(est > tol * scale):
-        finer, tail2 = _integrals_once(ph, bs, half, math.pi / 16.0, eta / 16.0)
-        est = np.abs(finer - fine) + tail2 + floor
-        fine = finer
-        if np.any(est > tol * scale):
-            worst = float(np.max(est / scale))
+    s = _split_point(ph, half) if ph.a > 0 else 0.0
+    floor = 1e-15 * half
+    coarse, fine = (_integrals_once(ph, bs, half, s, *p) for p in _PASSES[:2])
+    est = np.abs(fine - coarse) + floor
+    if np.any(est > tol * half):
+        coarse, fine = fine, _integrals_once(ph, bs, half, s, *_PASSES[2])
+        est = np.abs(fine - coarse) + floor
+        if np.any(est > tol * half):
+            worst = float(np.max(est / half))
             raise QuadratureError(
                 f"slit quadrature stalled at relative error {worst:.3e} "
                 f"(requested {tol:.3e})", achieved=worst)

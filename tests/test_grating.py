@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdwgrating import (
@@ -14,6 +14,7 @@ from vdwgrating import (
     InvalidInputError,
     OrderIntensities,
     Potential,
+    QuadratureError,
     angular_pattern,
     de_broglie_wavelength,
     diffraction_angle,
@@ -25,10 +26,11 @@ from vdwgrating import (
     velocity_averaged_intensities,
     wall_phase,
 )
+from vdwgrating import grating
 from vdwgrating.grating import _slit_integrals
 
 from oracles import SlitReference, bare_slit_amplitude, \
-    phase_by_line_integral
+    phase_by_line_integral, slit_integral_mpmath
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,58 @@ class TestSlitQuadrature:
         v1, e1 = _slit_integrals(potential, geometry, he_beam, bs, 1e-8)
         v2, _ = _slit_integrals(potential, geometry, he_beam, bs, 5e-9)
         assert np.all(np.abs(v1 - v2) <= e1 + 1e-15 * geometry.half_width)
+
+    @pytest.mark.parametrize("mass_u, velocity, beta_deg, c3", [
+        (4.002602, 2347.0, 60.0, 0.001),
+        (4.002602, 5000.0, 30.0, 0.01),
+        (20.1797, 873.0, 60.0, 0.001),
+        (20.1797, 5000.0, 11.0, 0.001),
+    ])
+    def test_weak_potential_matches_reference(self, mass_u, velocity,
+                                              beta_deg, c3):
+        # weak, fast corners of the envelope: phi falls to the phase
+        # budget within hundredths of a nm of the wall
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=math.radians(beta_deg))
+        beam = BeamState(mass_u=mass_u, velocity=velocity)
+        b = 2 * math.pi / geom.period
+        got, _ = _slit_integrals(Potential(c3), geom, beam, np.array([b]),
+                                 1e-8)
+        expected = _reference(geom, beam, c3).value(b)
+        assert abs(got[0] - expected) / abs(expected) < 5e-9
+
+    @given(c3=st.floats(0.0, 50.0), velocity=st.floats(200.0, 5000.0),
+           beta_deg=st.floats(0.0, 60.0),
+           mass_u=st.sampled_from([4.002602, 20.1797]),
+           checked=st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    @example(c3=1e-300, velocity=5000.0, beta_deg=0.0, mass_u=4.002602,
+             checked=1)
+    def test_envelope_sweep(self, c3, velocity, beta_deg, mass_u, checked):
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=math.radians(beta_deg))
+        beam = BeamState(mass_u=mass_u, velocity=velocity)
+        thetas = np.array([diffraction_angle(n, beam.wavelength, geom.period)
+                           for n in range(11)])
+        bs = beam.wavevector * np.sin(thetas)
+        tol = 1e-8
+        vals, est = _slit_integrals(Potential(c3), geom, beam, bs, tol)
+        assert np.all(np.isfinite(vals))
+        # |exact| <= s0/2, and est bounds the distance to it
+        assert np.all(np.abs(vals) <= geom.half_width + est)
+        assert np.all(est <= tol * geom.half_width)
+        # one order against an independent complex-contour integral
+        ref = slit_integral_mpmath(c3, geom.bar_depth, geom.wedge_angle,
+                                   velocity, geom.slit_width, bs[checked])
+        assert abs(vals[checked] - ref) <= est[checked]
+
+    def test_lost_descent_path_raises(self, potential, geometry, he_beam,
+                                      monkeypatch):
+        # one Newton step cannot polish a point of the tapered-wall path
+        monkeypatch.setattr(grating, "_NEWTON_STEPS", 1)
+        with pytest.raises(QuadratureError):
+            _slit_integrals(potential, geometry, he_beam, np.array([0.1]),
+                            1e-8)
 
     def test_free_slit_closed_form(self, geometry, he_beam):
         # C3 = 0 reduces f(theta) to the single-slit diffraction formula
