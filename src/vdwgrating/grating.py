@@ -308,23 +308,25 @@ def transmission_factor(zeta, potential, geometry, beam):
 # ---------------------------------------------------------------------------
 # Oscillatory slit quadrature
 #
-# Strategy: split [0, s0/2] at s where the wall phase has fallen to
-# _PHI_SPLIT (at s0/4 if phi is still above that there).  On the wall piece
-# [0, s] the contour follows the steepest-descent path z(p), phi(z) =
-# phi(s) + i p, from s into the wall, where e^{i phi} decays like e^{-p},
-# so with g(z) = cos[b (s0/2 - z)] and dz = i dp / phi'(z)
+# Strategy: split [0, s0/2] at the largest s with phi(s) >= _PHI_SPLIT and
+# b s <= _KAPPA phi(s) for all b.  On the wall piece [0, s] the contour
+# follows the steepest-descent path z(p), phi(z) = phi(s) + i p, from s
+# into the wall, where e^{i phi} decays like e^{-p}, so with g(z) =
+# cos[b (s0/2 - z)] and dz = i dp / phi'(z)
 #
 #   Int_0^s g e^{i phi} dz = -i e^{i phi(s)} Int_0^inf e^{-p} g(z) / phi'(z) dp
 #
 # by Gauss-Laguerre in p (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
-# 1026 (2006)).  The outer piece [s, s0/2], where phi <= _PHI_SPLIT, gets
-# 8-point Gauss-Legendre panels across which neither phi nor b zeta moves
-# by more than the phase budget and whose widths grow geometrically from
-# s, as phi varies on the scale of zeta.  So the node count depends on the
-# budget, the Laguerre order and log(s0/s), not on C3/v.  All orders share
-# the nodes; each order costs a cosine-weighted dot product.
+# 1026 (2006)).  On the path |phi'| >= 2 phi(s) / s, so b |Im z| <= p / 4
+# bounds the growth of g.  The outer piece [s, s0/2] gets 8-point
+# Gauss-Legendre panels across which neither phi nor b zeta moves by more
+# than the phase budget and whose widths grow geometrically from s, as phi
+# varies on the scale of zeta.  Unless s = s0/2, phi(s) <= max(_PHI_SPLIT,
+# b s0), so the node count is set by the budget, the Laguerre order,
+# log(s0/s) and b s0, not by C3/v.  All orders share the nodes.
 
 _PHI_SPLIT = 10.0  # rad; wall phase at the split point
+_KAPPA = 0.5  # bound on b s / phi(s) at the split point
 _NEWTON_STEPS = 30  # iteration cap of one Newton solve
 _GAUSS_X, _GAUSS_W = leggauss(8)
 # (phase budget per panel, Gauss-Laguerre rule): coarse, fine, escalation
@@ -332,31 +334,32 @@ _PASSES = tuple((budget, laggauss(n)) for budget, n in
                 ((math.pi / 4, 10), (math.pi / 8, 20), (math.pi / 16, 40)))
 
 
-def _invert_phase(ph, targets, z):
-    """Solve phi(z) = targets by Newton's method in log z, starting at z.
+def _invert_phase(ph, targets, z, m=0):
+    """Solve phi(z) / z^m = targets by Newton's method in log z from z.
 
-    d log(phi) / d log(z) lies in [-3, -2], so every step at least halves
-    the error from any start.  The roots only place the split and edges.
+    d log(phi) / d log(z) lies in [-3, -2], so for m >= 0 every step at
+    least halves the error from any start.  The roots place split and edges.
     """
     u, log_t = np.log(z), np.log(targets)
     for _ in range(_NEWTON_STEPS):
         z = np.exp(u)
-        du = (np.log(ph.phi(z)) - log_t) / (z * ph.logder(z))
+        du = (np.log(ph.phi(z)) - m * u - log_t) / (z * ph.logder(z) - m)
         u = u - du
         if np.all(np.abs(du) <= 1e-10):
             break
     return np.exp(u)
 
 
-def _split_point(ph, half):
-    """s with phi(s) = _PHI_SPLIT, or half / 2 if phi(half / 2) is larger."""
-    if ph.phi(half / 2.0) >= _PHI_SPLIT:
-        return half / 2.0
-    # phi <= min(A / z^3, A / (2 c z^2)) <= 4 phi: start at the bound's root
-    z = (ph.a / _PHI_SPLIT) ** (1.0 / 3.0)
-    if ph.c > 0:
-        z = min(z, math.sqrt(ph.a / (2.0 * ph.c * _PHI_SPLIT)))
-    return float(_invert_phase(ph, _PHI_SPLIT, z))
+def _split_point(ph, half, b_max):
+    """Largest s <= half with phi(s) >= _PHI_SPLIT, b_max s <= _KAPPA phi(s)."""
+    s = half
+    # both phi(z) / z^m decrease, so moving s in keeps what held before
+    for target, m in ((_PHI_SPLIT, 0), (b_max / _KAPPA, 1)):
+        if ph.phi(s) < target * s**m:
+            # phi <= A / z^3: start at the root of that bound
+            z = (ph.a / target) ** (1.0 / (3 + m))
+            s = float(_invert_phase(ph, target, z, m))
+    return s
 
 
 def _mesh_edges(ph, s, half, b_max, budget):
@@ -364,8 +367,7 @@ def _mesh_edges(ph, s, half, b_max, budget):
     pieces = [np.linspace(s, half, 9)]
     if ph.a > 0:
         phi_s = float(ph.phi(s))
-        n_phi = int((phi_s - float(ph.phi(half))) // budget)
-        targets = phi_s - budget * np.arange(1, n_phi + 1)
+        targets = np.arange(phi_s - budget, float(ph.phi(half)), -budget)
         pieces.append(_invert_phase(ph, targets, s))
         n_geo = math.ceil(math.log(half / s) / math.log1p(budget / 2.0))
         pieces.append(np.geomspace(s, half, n_geo + 1))
@@ -422,7 +424,7 @@ def _wall_piece(ph, bs, half, s, rule):
     z = _descent_path(ph, s, w)
     # on the path phi'(z) = phi(z) logder(z) = w logder(z)
     core = -1j * np.exp(1j * phi_s) * weights / (w * ph.logder(z))
-    return np.cos(np.outer(bs, half - z)) @ core
+    return _cos_dot(bs, z, core, half)
 
 
 def _cos_dot(bs, nodes, core, half):
@@ -461,19 +463,16 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     _require(_finite(bs) and np.all(bs >= 0), "b values must be >= 0")
     ph = _WallPhase(potential, geometry, beam)
     half = geometry.half_width
-    s = _split_point(ph, half) if ph.a > 0 else 0.0
-    floor = 1e-15 * half
-    coarse, fine = (_integrals_once(ph, bs, half, s, *p) for p in _PASSES[:2])
-    est = np.abs(fine - coarse) + floor
-    if np.any(est > tol * half):
-        coarse, fine = fine, _integrals_once(ph, bs, half, s, *_PASSES[2])
-        est = np.abs(fine - coarse) + floor
-        if np.any(est > tol * half):
-            worst = float(np.max(est / half))
-            raise QuadratureError(
-                f"slit quadrature stalled at relative error {worst:.3e} "
-                f"(requested {tol:.3e})", achieved=worst)
-    return fine, est
+    s = _split_point(ph, half, float(bs.max())) if ph.a > 0 else 0.0
+    fine = _integrals_once(ph, bs, half, s, *_PASSES[0])
+    for budget, rule in _PASSES[1:]:
+        coarse, fine = fine, _integrals_once(ph, bs, half, s, budget, rule)
+        est = np.abs(fine - coarse) + 1e-15 * half
+        if np.all(est <= tol * half):
+            return fine, est
+    worst = float(np.max(est / half))
+    raise QuadratureError(f"slit quadrature stalled at relative error "
+                          f"{worst:.3e} (requested {tol:.3e})", achieved=worst)
 
 
 def _amplitude_prefactor(theta, wavelength):

@@ -104,17 +104,22 @@ class SlitReference:
 
 def slit_integral_mpmath(c3_mev_nm3, bar_depth, wedge_angle, velocity,
                          slit_width, b, dps=30):
-    """Int_0^{s0/2} cos[b(s0/2-z)] e^{i phi} dz by tanh-sinh at dps digits
+    """Int_0^{s0/2} cos[b(s0/2-z)] e^{i phi} dz by tanh-sinh to dps digits
     on a contour that leaves the wall at angle -pi/8.
 
     Near z = 0, phi ~ A/z^3 (flat wall) or A/(2 c z^2) (tapered), so on
     that ray e^{i phi} dies off faster than any power instead of
     oscillating.  The path runs from 0 along the ray to z1 = (s0/4)
     e^{-i pi/8}, with breakpoints at z1 10^-6 ... z1, then straight to
-    s0/2.  No real-axis quadrature, cut-off or descent path is shared
-    with the library.
+    s0/2 in pieces of b-phase at most pi.  Off the real axis the cosine
+    grows to cosh(b |Im z1|), so the working precision carries that many
+    extra digits.  No real-axis quadrature, cut-off or descent path is
+    shared with the library.
     """
-    with mpmath.workdps(dps):
+    half = slit_width / 2
+    z1 = half / 2 * complex(math.cos(math.pi / 8), -math.sin(math.pi / 8))
+    extra = int(b * abs(z1.imag) / math.log(10)) + 1
+    with mpmath.workdps(dps + extra):
         c3_ev = mpmath.mpf(c3_mev_nm3) / 1000
         hv = mpmath.mpf(HBAR_EV_S) * velocity * NM_PER_M
         a = c3_ev * bar_depth / hv
@@ -127,8 +132,11 @@ def slit_integral_mpmath(c3_mev_nm3, bar_depth, wedge_angle, velocity,
             return mpmath.cos(b * (half - z)) * mpmath.exp(1j * phi)
 
         z1 = half / 2 * mpmath.expjpi(mpmath.mpf(-1) / 8)
-        path = [z1 * mpmath.mpf(10) ** k for k in range(-6, 1)]
-        return complex(mpmath.quad(integrand, [0] + path + [half]))
+        ray = [z1 * mpmath.mpf(10) ** k for k in range(-6, 1)]
+        n_seg = int(b * abs(half - z1) / mpmath.pi) + 1
+        seg = [z1 + (half - z1) * mpmath.mpf(k) / n_seg
+               for k in range(1, n_seg + 1)]
+        return complex(mpmath.quad(integrand, [0] + ray + seg))
 
 
 def bare_slit_amplitude(theta, wavelength, slit_width):

@@ -276,6 +276,48 @@ class TestSlitQuadrature:
                                    velocity, geom.slit_width, bs[checked])
         assert abs(vals[checked] - ref) <= est[checked]
 
+    @pytest.mark.parametrize("beta_deg, mass_u", [(0.0, 4.002602),
+                                                   (60.0, 20.1797)])
+    def test_strong_potential_cost_and_value(self, beta_deg, mass_u,
+                                             monkeypatch):
+        # C3/v far beyond the physical envelope: phi(s0/2) is 1e3-1e4 rad,
+        # so the descent path takes the whole half-slit
+        nodes = []
+        cos_dot = grating._cos_dot
+        monkeypatch.setattr(grating, "_cos_dot", lambda bs, z, core, half: (
+            nodes.append(z.size) or cos_dot(bs, z, core, half)))
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=math.radians(beta_deg))
+        beam = BeamState(mass_u=mass_u, velocity=200.0)
+        bs = beam.wavevector * np.sin(np.array(
+            [diffraction_angle(n, beam.wavelength, geom.period)
+             for n in (0, 10)]))
+        vals, est = _slit_integrals(Potential(1e6), geom, beam, bs, 1e-8)
+        assert max(nodes) <= 2000
+        for b, val, e in zip(bs, vals, est):
+            ref = slit_integral_mpmath(1e6, geom.bar_depth, geom.wedge_angle,
+                                       200.0, geom.slit_width, b)
+            assert abs(val - ref) <= e
+
+    @pytest.mark.parametrize("mass_u, beta_deg, theta", [
+        (4.002602, 0.0, 0.5),
+        (20.1797, 60.0, 0.1),
+    ])
+    def test_wide_angle_matches_mpmath(self, mass_u, beta_deg, theta):
+        # b s0/2 ~ 200: the far-field phase b zeta outruns the wall phase
+        # well inside the slit, and cos(b (s0/2 - z)) grows off the axis
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=math.radians(beta_deg))
+        beam = BeamState(mass_u=mass_u, velocity=200.0)
+        b = beam.wavevector * math.sin(theta)
+        tol = 1e-8
+        vals, est = _slit_integrals(Potential(50.0), geom, beam,
+                                    np.array([b]), tol)
+        assert est[0] <= tol * geom.half_width
+        ref = slit_integral_mpmath(50.0, geom.bar_depth, geom.wedge_angle,
+                                   200.0, geom.slit_width, b)
+        assert abs(vals[0] - ref) <= est[0]
+
     def test_lost_descent_path_raises(self, potential, geometry, he_beam,
                                       monkeypatch):
         # one Newton step cannot polish a point of the tapered-wall path
