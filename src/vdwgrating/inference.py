@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     BoundarySolutionError,
@@ -131,6 +130,8 @@ def fit_gaussian_peaks(scan, centers, width_guess=1e-4):
     does not rise at least five Poisson sigma above the lower decile, or
     when the fitted amplitude is below three of its own sigma.
     """
+    from scipy.optimize import curve_fit  # off the import path of the CLI
+
     centers = np.asarray(centers, dtype=float)
     _require(centers.ndim == 1 and centers.size >= 1,
              "need at least one expected center")
@@ -162,7 +163,7 @@ def fit_gaussian_peaks(scan, centers, width_guess=1e-4):
         p0 = [peak_height, float(x[i_max]), sigma0, background]
         weights = np.sqrt(np.maximum(y, 1.0))
         try:
-            popt, pcov = optimize.curve_fit(
+            popt, pcov = curve_fit(
                 _gauss_model, x, y, p0=p0, sigma=weights,
                 absolute_sigma=True, xtol=1e-8, maxfev=200 * (len(p0) + 1))
         except RuntimeError as exc:
@@ -241,6 +242,121 @@ def _strict_local_minima(values):
     return hits
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's value, kept so the steps agree
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
+
+
+def _brent_min(f, a, b, xatol):
+    """(x, f(x)) at a minimum of f on [a, b] by Brent's bounded search.
+
+    Golden-section steps with parabolic interpolation through the three
+    best points x, w, v (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973), as scipy's _minimize_scalar_bounded runs it,
+    500 evaluations at most: both visit the same points.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    rat = e = 0.0
+    calls = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a) and calls < 500:
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                rat = p / q
+                if x + rat - a < tol2 or b - (x + rat) < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        u = x - step if rat < 0 else x + step
+        fu = f(u)
+        calls += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return x, fx
+
+
+def _brent_root(f, a, b, xtol, maxiter=100):
+    """Root of f in [a, b], where f changes sign, by Brent's method.
+
+    Inverse quadratic or secant steps, bisection when they are too slow,
+    as scipy's brentq runs it with its defaults (rtol = 4 eps,
+    maxiter = 100): both visit the same points.  Raises FitFailureError
+    when the bracket does not change sign or maxiter steps do not
+    converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise FitFailureError(f"no sign change of the root function on "
+                              f"[{a:.6g}, {b:.6g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through pre, cur, blk
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+        if stry is not None and \
+                2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise FitFailureError(f"root search on [{a:.6g}, {b:.6g}] did not "
+                          f"converge in {maxiter} steps")
+
+
 def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
            xatol=1e-3, grid_points=25):
     """Least-squares estimate of C3 from relative order intensities.
@@ -249,7 +365,11 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     when the observations carry uncertainties, else w_n = 1.  The model
     is normalized over exactly the observed orders.  A coarse grid over
     bounds guards against multiple minima and boundary solutions, then
-    golden-section/parabolic refinement localizes the minimum to xatol.
+    bounded Brent refinement (golden section with parabolic steps,
+    Brent 1973, step for step as scipy's minimize_scalar "bounded")
+    localizes the minimum to xatol between the grid neighbours of the
+    grid minimum.  The Delta-chi^2 crossings are found by Brent's root
+    finder, step for step as scipy's brentq.
 
     The one-sigma uncertainty is half the width of the
     chi^2 = chi2_min + Delta interval, Delta = 1 for weighted fits and
@@ -258,6 +378,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
 
     Raises
     ------
+    FitFailureError
+        A Delta-chi^2 crossing did not converge.
     MultimodalObjectiveError
         More than one strict local minimum on the coarse grid.
     BoundarySolutionError
@@ -308,11 +430,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
             f"chi^2 minimum at the {'lower' if i0 == 0 else 'upper'} "
             f"search bound {grid[i0]:.4g}; widen bounds")
 
-    res = optimize.minimize_scalar(
-        chi2, bounds=(grid[i0 - 1], grid[i0 + 1]), method="bounded",
-        options={"xatol": 0.5 * xatol})
-    c3_hat = float(res.x)
-    chi2_min = float(res.fun)
+    c3_hat, chi2_min = _brent_min(chi2, float(grid[i0 - 1]),
+                                  float(grid[i0 + 1]), 0.5 * xatol)
     if min(c3_hat - lo, hi - c3_hat) < xatol:
         raise BoundarySolutionError(
             f"refined minimum {c3_hat:.4g} sits within xatol of a search "
@@ -329,7 +448,7 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
             x_prev, x_cur = x_cur, x_cur + direction * step
             x_cur = min(max(x_cur, lo), hi)
             if chi2(x_cur) >= target:
-                root = optimize.brentq(
+                root = _brent_root(
                     lambda x: chi2(x) - target, min(x_prev, x_cur),
                     max(x_prev, x_cur), xtol=xatol * 1e-2)
                 return abs(root - c3_hat)

@@ -1,3 +1,4 @@
+import os
 import re
 import shutil
 import subprocess
@@ -6,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from vdwgrating import order_intensities, velocity_averaged_intensities
+import vdwgrating
+from vdwgrating import inference, order_intensities, \
+    velocity_averaged_intensities
 from vdwgrating.cli import main
 from vdwgrating.config import KEY_TABLE, load_config
 from vdwgrating.dataio import load_orders_csv, load_scan_csv, read_report
@@ -160,6 +163,50 @@ class TestFit:
         err = capsys.readouterr().err
         assert ERROR_LINE.search(err)
         assert "numerical: BoundarySolutionError" in err
+
+    def test_stalled_crossing_is_numerical_failure(self, fast_cfg, tmp_path,
+                                                   capsys, monkeypatch):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--config", str(fast_cfg), "--noise", "0.01",
+                     "--out", str(data)]) == 0
+        root = inference._brent_root
+        monkeypatch.setattr(inference, "_brent_root",
+                            lambda f, a, b, xtol: root(f, a, b, xtol,
+                                                       maxiter=1))
+        code = main(["fit", "--config", str(fast_cfg), "--data", str(data),
+                     "--out", str(tmp_path / "fit.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ERROR_LINE.search(err)
+        assert "numerical: FitFailureError" in err
+        assert "Traceback" not in err
+
+
+class TestImportPath:
+    """scipy, and numpy.ma (about 16 ms cold), stay off the command
+    line's import path."""
+
+    def _unwanted_modules_after(self, code):
+        package = os.path.dirname(os.path.abspath(vdwgrating.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        code += ("; import sys; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        assert self._unwanted_modules_after("import vdwgrating.cli") == "[]"
+
+    def test_fit_run_loads_no_scipy(self, fast_cfg, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--config", str(fast_cfg), "--noise", "0.01",
+                     "--out", str(data)]) == 0
+        argv = ["fit", "--config", str(fast_cfg), "--data", str(data),
+                "--out", str(tmp_path / "fit.txt")]
+        code = f"from vdwgrating.cli import main; assert main({argv!r}) == 0"
+        assert self._unwanted_modules_after(code) == "[]"
 
 
 ONE_OSC_CFG = FAST_CFG + """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vdwgrating import (
     AngularScan,
     BoundarySolutionError,
+    FitFailureError,
     GaussianPeak,
     InvalidInputError,
     MissingPeakError,
@@ -20,7 +21,9 @@ from vdwgrating import (
     synthesize_orders,
     synthesize_scan,
 )
-from vdwgrating.inference import _strict_local_minima
+from vdwgrating.config import load_config
+from vdwgrating.inference import _brent_min, _brent_root, \
+    _strict_local_minima
 
 
 def _gauss(x, a, c, s, b):
@@ -115,6 +118,117 @@ class TestNormalizeOrders:
         p = GaussianPeak(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             normalize_orders([(1, p), (1, p)])
+
+
+class _Counted:
+    """f with a call counter."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def _chi2_of_config(path):
+    """chi^2(C3) of a shipped config's synth orders, 1% noise."""
+    cfg = load_config(path)
+    orders = tuple(range(1, cfg.n_max + 1))
+    obs = synthesize_orders(cfg.potential, cfg.geometry, cfg.beam, orders,
+                            noise_fraction=0.01, seed=cfg.seed,
+                            tol=cfg.tolerance)
+    cache = {}
+
+    def chi2(c3):
+        if c3 not in cache:
+            model = intensities_for_orders(Potential(c3), cfg.geometry,
+                                           cfg.beam, orders, cfg.tolerance)
+            r = (obs.intensity - model.intensity) / obs.sigma
+            cache[c3] = float(np.sum(r * r))
+        return cache[c3]
+
+    return cfg.potential.c3, chi2
+
+
+class TestBrentPorts:
+    """The pure-Python Brent helpers repeat scipy's steps bit for bit."""
+
+    def _same_min(self, f, a, b, xatol):
+        from scipy.optimize import minimize_scalar
+        ours, theirs = _Counted(f), _Counted(f)
+        x, fx = _brent_min(ours, a, b, xatol)
+        res = minimize_scalar(theirs, bounds=(a, b), method="bounded",
+                              options={"xatol": xatol})
+        assert (x, fx) == (res.x, res.fun)
+        assert ours.calls == theirs.calls == res.nfev
+        return x
+
+    def _same_root(self, f, a, b, xtol):
+        from scipy.optimize import brentq
+        ours, theirs = _Counted(f), _Counted(f)
+        x = _brent_root(ours, a, b, xtol)
+        root, info = brentq(theirs, a, b, xtol=xtol, full_output=True)
+        assert x == root
+        assert f(x) == f(root)
+        assert ours.calls == theirs.calls == info.function_calls
+        return x
+
+    @pytest.mark.parametrize("xatol", [1e-2, 1e-5, 1e-10])
+    def test_min_quadratic(self, xatol):
+        x = self._same_min(lambda x: (x - 1.234) ** 2 + 0.5, 0.0, 3.0,
+                           xatol)
+        assert abs(x - 1.234) < xatol
+
+    def test_min_flat_quartic(self):
+        self._same_min(lambda x: (x - 0.3) ** 4, -1.0, 2.0, 1e-6)
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-12])
+    def test_root_cubic(self, xtol):
+        self._same_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 5.0)])
+    def test_root_at_bracket_end(self, a, b):
+        assert self._same_root(lambda x: x - 2.0, a, b, 1e-8) == 2.0
+
+    def test_random_sweep(self):
+        # seeded random functions reach step-rule branches that the
+        # cases above may not: steep/flat roots, plateaus with ties
+        rng = np.random.default_rng(2026)
+        for i in range(400):
+            c = rng.standard_normal(4)
+            a, b = c[0] - rng.uniform(0.1, 5), c[0] + rng.uniform(0.1, 5)
+            s, q = rng.uniform(0.2, 30), float(10 ** rng.integers(1, 4))
+            if i % 2:
+                self._same_min(lambda x: round(q * (x - c[0]) ** 2) / q, a, b,
+                               10.0 ** rng.uniform(-10, -1))
+            else:
+                self._same_min(lambda x: (x - c[0]) ** 2 + 0.3 * c[1]
+                               * math.sin(s * x), a, b, 1e-8)
+
+            def f(x):
+                return math.tanh(s * (x - c[0])) \
+                    + c[1] * (x - c[0]) ** 3 + 0.01 * c[2]
+            if (f(a) < 0) != (f(b) < 0):
+                self._same_root(f, a, b, 1e-12)
+
+    def test_no_convergence_is_fit_failure(self):
+        with pytest.raises(FitFailureError):
+            _brent_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12,
+                        maxiter=1)
+
+    def test_no_sign_change_is_fit_failure(self):
+        with pytest.raises(FitFailureError):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-8)
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_chi2_of_shipped_config(self, config, request):
+        c3, chi2 = _chi2_of_config(request.getfixturevalue(config))
+        # fit_c3's refinement and Delta-chi^2 = 1 crossings on this curve
+        c3_hat = self._same_min(chi2, 0.5 * c3, 1.5 * c3, 5e-4)
+        target = chi2(c3_hat) + 1.0
+        for a, b in [(c3_hat, c3_hat + 1.0), (c3_hat - 1.0, c3_hat)]:
+            self._same_root(lambda x: chi2(x) - target, a, b, 1e-5)
 
 
 class TestFitC3:

@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vdwgrating
 from vdwgrating import (
     CachedDielectric,
     InvalidInputError,
@@ -276,16 +272,6 @@ class TestTabulatedPolarizability:
         with pytest.raises(InvalidInputError):
             TabulatedPolarizability(np.array([0.0, 1.0, 2.0]),
                                     np.array([0.05, 0.02, 0.03]))
-
-    def test_import_leaves_scipy_interpolate_unloaded(self):
-        # PCHIP is imported only when a table is built
-        package = os.path.dirname(os.path.abspath(vdwgrating.__file__))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
-        code = ("import sys, vdwgrating; "
-                "print('scipy.interpolate' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidInputError):
