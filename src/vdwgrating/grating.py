@@ -21,6 +21,9 @@ b = k sin(theta), which folds the two half-slits together.  phi diverges
 at the wall, so the integrand oscillates without bound as zeta -> 0; the
 quadrature takes that wall piece along the steepest-descent contour of
 exp(i phi) in the complex zeta plane, where it decays (see _slit_integrals).
+As a function of b the integral is entire and of exponential type s0/2, so
+a scan over many angles samples it on a few Chebyshev points in b and
+interpolates, with an error bound carried in its estimate.
 
 Intensities: R_n = |f(theta_n)|^2 normalized so the retained orders sum
 to one.  A full angular pattern multiplies |f|^2 by the N-slit grating
@@ -324,10 +327,25 @@ def transmission_factor(zeta, potential, geometry, beam):
 # varies on the scale of zeta.  Unless s = s0/2, phi(s) <= max(_PHI_SPLIT,
 # b s0), so the node count is set by the budget, the Laguerre order,
 # log(s0/s) and b s0, not by C3/v.  All orders share the nodes.
+#
+# Sampling in b: F(b) = Int_0^{s0/2} cos[b (s0/2 - zeta)] tau dzeta is
+# entire, with |F(b)| <= (s0/2) e^{|Im b| s0/2}.  Map [b_min, b_max] onto
+# x in [-1, 1]; inside the Bernstein ellipse E_rho, |Im b| s0/2 <= omega
+# (rho - 1/rho) / 2 with omega = (b_max - b_min) s0/4, so the degree-n
+# Chebyshev interpolant is within 4 (s0/2) e^{omega (rho - 1/rho)/2}
+# rho^-n / (rho - 1) of F (Trefethen, ATAP, Thm 8.2).  n is the smallest
+# degree for which some rho brings that bound to the _EST_FLOOR of every
+# estimate; n > omega always.  When more b are asked for than its n + 1
+# points, the passes run on Chebyshev points of the second kind and the
+# barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 501 (2004))
+# carries them to the requested b, the estimate as
+# sum_k |l_k(b)| est_k + bound with l_k the Lagrange basis.  Otherwise the
+# passes run on the requested b themselves.
 
 _PHI_SPLIT = 10.0  # rad; wall phase at the split point
 _KAPPA = 0.5  # bound on b s / phi(s) at the split point
 _NEWTON_STEPS = 30  # iteration cap of one Newton solve
+_EST_FLOOR = 1e-15  # floor of every error estimate, in units of s0/2
 _GAUSS_X, _GAUSS_W = leggauss(8)
 # (phase budget per panel, Gauss-Laguerre rule): coarse, fine, escalation
 _PASSES = tuple((budget, laggauss(n)) for budget, n in
@@ -460,6 +478,55 @@ def _integrals_once(ph, bs, half, s, budget, rule):
     return outer + _wall_piece(ph, bs, half, s, rule)
 
 
+def _chebyshev_degree(omega):
+    """Smallest n whose ellipse bound is at most _EST_FLOOR, and that
+    bound minimised over rho, both for F / (s0/2) (see the strategy note)."""
+    # for each a = log(rho) on a grid the bound gives n in closed form
+    a = np.exp(np.linspace(-9.2, 2.3, 128))
+    c = omega * np.sinh(a) - np.log(np.expm1(a) / 4.0) - math.log(_EST_FLOOR)
+    n = float(np.ceil(c / a).min())
+    return int(n), _EST_FLOOR * math.exp(float(np.min(c - n * a)))
+
+
+def _b_samples(bs, half):
+    """(Chebyshev points, barycentric weights, bound in nm) on which to
+    sample F for the requested bs, or None where direct passes are cheaper."""
+    b_lo, b_hi = float(bs.min()), float(bs.max())
+    omega = 0.5 * (b_hi - b_lo) * half
+    # n > omega, so sets this small never need the degree search
+    if bs.size <= omega + 2:
+        return None
+    n, bound = _chebyshev_degree(omega)
+    if bs.size <= n + 1:
+        return None
+    k = np.arange(n + 1)
+    points = b_lo + (b_hi - b_lo) * np.cos(0.5 * math.pi * k / n) ** 2
+    points[0], points[-1] = b_hi, b_lo
+    weights = np.where(k % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    return points, weights, bound * half
+
+
+def _barycentric(bs, points, weights, values, ests):
+    """Interpolants of values at bs, with sum_k |l_k(b)| ests[k], chunked
+    as in _cos_dot."""
+    out = np.empty(bs.size, dtype=complex)
+    est = np.empty(bs.size)
+    rhs = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+    step = max(1, int(4_000_000 // points.size))
+    for i in range(0, bs.size, step):
+        diff = bs[i:i + step, None] - points[None, :]
+        hit = diff == 0
+        c = weights / np.where(hit, 1.0, diff)
+        # a b on a sample point takes its value
+        at_point = hit.any(axis=1)
+        c[at_point] = hit[at_point]
+        ell = c / c.sum(axis=1, keepdims=True)
+        out[i:i + step] = (ell @ rhs).view(complex)[:, 0]
+        est[i:i + step] = np.abs(ell) @ ests
+    return out, est
+
+
 def _slit_integrals(potential, geometry, beam, bs, tol):
     """Int_0^{s0/2} cos[b (s0/2 - zeta)] e^{i phi(zeta)} dzeta for many b.
 
@@ -470,6 +537,14 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     pi/4, 10 Laguerre nodes) and (pi/8, 20), plus 1e-15 s0/2, judged
     against tol * (s0/2), the zero-order scale.  One escalation pass (pi/16,
     40) runs before QuadratureError, also raised if the path is lost.
+
+    When more b are asked for than the degree n of the band-limited
+    interpolant needs (about 37 for +-10 orders of the shipped configs),
+    the passes run on n + 1 Chebyshev points over [b_min, b_max] instead,
+    and values and estimates reach the requested b by barycentric
+    interpolation: the estimate there is sum_k |l_k(b)| est_k plus the
+    interpolation bound, at most 1e-15 s0/2, judged against the same
+    tol * (s0/2).  Otherwise the passes run on bs itself.
     """
     _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
     bs = np.asarray(bs, dtype=float)
@@ -477,12 +552,18 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     ph = _WallPhase(potential, geometry, beam)
     half = geometry.half_width
     s = _split_point(ph, half, float(bs.max())) if ph.a > 0 else 0.0
-    fine = _integrals_once(ph, bs, half, s, *_PASSES[0])
+    sampling = _b_samples(bs, half)
+    run = bs if sampling is None else sampling[0]
+    fine = _integrals_once(ph, run, half, s, *_PASSES[0])
     for budget, rule in _PASSES[1:]:
-        coarse, fine = fine, _integrals_once(ph, bs, half, s, budget, rule)
-        est = np.abs(fine - coarse) + 1e-15 * half
+        coarse, fine = fine, _integrals_once(ph, run, half, s, budget, rule)
+        vals, est = fine, np.abs(fine - coarse) + _EST_FLOOR * half
+        if sampling is not None:
+            points, weights, bound = sampling
+            vals, est = _barycentric(bs, points, weights, vals, est)
+            est += bound
         if np.all(est <= tol * half):
-            return fine, est
+            return vals, est
     worst = float(np.max(est / half))
     raise QuadratureError(f"slit quadrature stalled at relative error "
                           f"{worst:.3e} (requested {tol:.3e})", achieved=worst)
@@ -590,7 +671,11 @@ def angular_pattern(theta_grid, potential, geometry, beam, n_slits=100,
     """Coherent diffraction pattern I(theta) = |D(theta) f(theta)|^2.
 
     Returns an AngularScan in the arbitrary units of |f|^2; at a
-    principal maximum the value equals n_slits^2 |f(theta_n)|^2.
+    principal maximum the value equals n_slits^2 |f(theta_n)|^2.  A grid
+    of more angles than the band-limited degree in b needs (about 38
+    points for the shipped +-10.5-order scans) costs that many slit
+    integrals, not one per angle: f is interpolated from Chebyshev samples
+    in b = k |sin theta| to within the quadrature tolerance.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     _require(theta_grid.ndim == 1 and theta_grid.size >= 2,

@@ -477,13 +477,15 @@ def synthesize_orders(potential, geometry, beam, orders, noise_fraction=0.0,
     Each model value is scaled by (1 + noise_fraction * xi) with
     standard-normal xi from a seeded PCG64 generator, clamped at zero,
     then renormalized.  sigma is set to noise_fraction times the clean
-    model value.  noise_fraction = 0 returns the exact model.
+    model value.  noise_fraction = 0 returns the exact model without
+    sigma: it has no measurement error, and the quadrature error estimate
+    is not one, so fit_c3 fits it unweighted.
     """
     _require(_finite([noise_fraction]) and 0 <= noise_fraction < 1,
              "noise_fraction must lie in [0, 1)")
     clean = intensities_for_orders(potential, geometry, beam, orders, tol)
     if noise_fraction == 0:
-        return clean
+        return OrderIntensities(clean.orders, clean.intensity)
     rng = _rng(seed)
     xi = rng.standard_normal(len(clean.orders))
     noisy = np.clip(clean.intensity * (1.0 + noise_fraction * xi), 0.0, None)

@@ -151,6 +151,24 @@ class TestFit:
         rep2 = read_report(report2)
         assert rep2["result.c3_mev_nm3"] == rep["result.c3_mev_nm3"]
 
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_noiseless_synth_fits_unweighted(self, config, request,
+                                             tmp_path):
+        # noise-free data carry no sigma, so the fit is not weighted by
+        # the ~1e-12 quadrature error estimate
+        cfg_path = request.getfixturevalue(config)
+        data = tmp_path / "data.csv"
+        report = tmp_path / "fit.txt"
+        assert main(["synth", "--config", cfg_path, "--noise", "0",
+                     "--out", str(data)]) == 0
+        assert data.read_text().splitlines()[0] == "n,intensity"
+        assert main(["fit", "--config", cfg_path, "--data", str(data),
+                     "--out", str(report)]) == 0
+        rep = read_report(report)
+        c3 = load_config(cfg_path).potential.c3
+        assert float(rep["result.chi2"]) < 1.0
+        assert abs(float(rep["result.c3_mev_nm3"]) - c3) / c3 < 5e-3
+
     def test_boundary_minimum_is_numerical_failure(self, fast_cfg, tmp_path,
                                                    capsys):
         data = tmp_path / "data.csv"

@@ -27,6 +27,8 @@ from vdwgrating import (
     wall_phase,
 )
 from vdwgrating import grating
+from vdwgrating.cli import _scan_grid
+from vdwgrating.config import load_config
 from vdwgrating.grating import _slit_integrals
 
 from oracles import SlitReference, bare_slit_amplitude, \
@@ -437,6 +439,82 @@ class TestAngularPattern:
         with pytest.raises(InvalidInputError):
             angular_pattern(np.array([0.1, 0.0]), potential, geometry,
                             he_beam)
+
+
+class TestBSampling:
+    """Scans sample the slit integral on Chebyshev points in b."""
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_scan_cost(self, config, request, monkeypatch):
+        cfg = load_config(request.getfixturevalue(config))
+        rows = []
+        cos_dot = grating._cos_dot
+        monkeypatch.setattr(grating, "_cos_dot", lambda bs, z, core, half: (
+            rows.append(bs.size) or cos_dot(bs, z, core, half)))
+        for points in (801, 4001):
+            angular_pattern(_scan_grid(cfg, points), cfg.potential,
+                            cfg.geometry, cfg.beam, tol=cfg.tolerance)
+            assert 0 < max(rows) <= 60
+            rows.clear()
+        # an order set is smaller than the degree: every b goes direct
+        intensities_for_orders(cfg.potential, cfg.geometry, cfg.beam,
+                               range(1, 11), tol=cfg.tolerance)
+        assert rows and set(rows) == {10}
+
+    @staticmethod
+    def _sampled_and_direct(potential, geometry, beam, grid, tol,
+                            monkeypatch):
+        bs = beam.wavevector * np.abs(np.sin(grid))
+        assert grating._b_samples(bs, geometry.half_width) is not None
+        vals, est = _slit_integrals(potential, geometry, beam, bs, tol)
+        # the same passes on every requested b, with the same split point
+        # and panels, which calls on chunks of bs would move
+        with monkeypatch.context() as m:
+            m.setattr(grating, "_b_samples", lambda bs, half: None)
+            direct, _ = _slit_integrals(potential, geometry, beam, bs, tol)
+        assert np.all(np.abs(vals - direct) <= est)
+        assert np.all(est <= tol * geometry.half_width)
+        return bs, vals, est, direct
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_cli_grid_matches_direct(self, config, request, monkeypatch):
+        cfg = load_config(request.getfixturevalue(config))
+        _, vals, _, direct = self._sampled_and_direct(
+            cfg.potential, cfg.geometry, cfg.beam, _scan_grid(cfg, 4001),
+            cfg.tolerance, monkeypatch)
+        assert np.max(np.abs(vals - direct)) <= \
+            1e-14 * cfg.geometry.half_width
+
+    def test_positive_grid_matches_direct(self, potential, geometry,
+                                          he_beam, monkeypatch):
+        # b_min > 0, as in the scan-to-C3 round trip
+        lam, d = he_beam.wavelength, geometry.period
+        grid = np.linspace(0.5 * lam / d, 10.5 * lam / d, 9001)
+        self._sampled_and_direct(potential, geometry, he_beam, grid, 1e-8,
+                                 monkeypatch)
+
+    def test_wide_angle_matches_direct_and_mpmath(self, monkeypatch):
+        # b s0/2 up to ~390: a degree of about 260
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=0.0)
+        beam = BeamState(mass_u=4.002602, velocity=200.0)
+        grid = np.linspace(-1.2, 1.2, 1201)
+        bs, vals, est, _ = self._sampled_and_direct(
+            Potential(50.0), geom, beam, grid, 1e-8, monkeypatch)
+        # a requested b between two sample points, where the oracle
+        # still takes only seconds
+        points = grating._b_samples(bs, geom.half_width)[0]
+        i = int(np.argmin(np.abs(bs - 3.0)))
+        assert np.min(np.abs(points - bs[i])) > 0
+        ref = slit_integral_mpmath(50.0, geom.bar_depth, geom.wedge_angle,
+                                   200.0, geom.slit_width, bs[i])
+        assert abs(vals[i] - ref) <= est[i]
+
+    def test_degree_of_shipped_scans(self):
+        # omega = (b_max - b_min) s0/4 is about 11 for +-10.5 orders
+        n, bound = grating._chebyshev_degree(11.0)
+        assert n == 37 and bound <= 1e-15
+        assert grating._chebyshev_degree(1000.0)[0] < 1200
 
 
 # ---------------------------------------------------------------------------
