@@ -321,12 +321,24 @@ def transmission_factor(zeta, potential, geometry, beam):
 #
 # by Gauss-Laguerre in p (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44,
 # 1026 (2006)).  On the path |phi'| >= 2 phi(s) / s, so b |Im z| <= p / 4
-# bounds the growth of g.  The outer piece [s, s0/2] gets 8-point
-# Gauss-Legendre panels across which neither phi nor b zeta moves by more
-# than the phase budget and whose widths grow geometrically from s, as phi
-# varies on the scale of zeta.  Unless s = s0/2, phi(s) <= max(_PHI_SPLIT,
-# b s0), so the node count is set by the budget, the Laguerre order,
-# log(s0/s) and b s0, not by C3/v.  All orders share the nodes.
+# bounds the growth of g.  The path points come from one vectorised Newton
+# solve in log z of log(phi(z) / w) = 0, started from the local power law
+# at s; on a tapered wall phi(z) = w is a quartic with exactly one root in
+# Re z > 0, so a solve that converges there is on the path.  The outer
+# piece [s, s0/2] gets 8-point Gauss-Legendre panels across which neither
+# phi nor b zeta moves by more than the phase budget and whose widths grow
+# geometrically from s, as phi varies on the scale of zeta.  Unless
+# s = s0/2, phi(s) <= max(_PHI_SPLIT, b s0), so the node count is set by
+# the budget, the Laguerre order, log(s0/s) and b s0, not by C3/v.  All
+# orders share the nodes.
+#
+# The coarse pass (budget pi/4, 10 Laguerre nodes) and the fine pass
+# (pi/8, 20) run together: the coarse mesh keeps every other edge of each
+# piece of the fine one (phase targets phi(s) - k pi/8, geometric grading
+# s (s0/(2s))^(k/m) with m even, b steps k pi/(8 b_max)), one Newton solve
+# places the path points of both rules, and one cosine matrix serves the
+# outer nodes of both passes, one the wall nodes, each against one column
+# per pass.
 #
 # Sampling in b: F(b) = Int_0^{s0/2} cos[b (s0/2 - zeta)] tau dzeta is
 # entire, with |F(b)| <= (s0/2) e^{|Im b| s0/2}.  Map [b_min, b_max] onto
@@ -347,9 +359,10 @@ _KAPPA = 0.5  # bound on b s / phi(s) at the split point
 _NEWTON_STEPS = 30  # iteration cap of one Newton solve
 _EST_FLOOR = 1e-15  # floor of every error estimate, in units of s0/2
 _GAUSS_X, _GAUSS_W = leggauss(8)
-# (phase budget per panel, Gauss-Laguerre rule): coarse, fine, escalation
-_PASSES = tuple((budget, laggauss(n)) for budget, n in
-                ((math.pi / 4, 10), (math.pi / 8, 20), (math.pi / 16, 40)))
+# (phase budget of the finest mesh, Gauss-Laguerre rules coarse to fine):
+# the coarse and fine passes run together, the escalation pass alone
+_PASSES = ((math.pi / 8, (laggauss(10), laggauss(20))),
+           (math.pi / 16, (laggauss(40),)))
 
 
 def _invert_phase(ph, targets, z, m=0):
@@ -363,7 +376,7 @@ def _invert_phase(ph, targets, z, m=0):
         z = np.exp(u)
         du = (np.log(ph.phi(z)) - m * u - log_t) / (z * ph.logder(z) - m)
         u = u - du
-        if np.all(np.abs(du) <= 1e-10):
+        if (np.abs(du) <= 1e-10).all():
             break
     return np.exp(u)
 
@@ -380,21 +393,37 @@ def _split_point(ph, half, b_max):
     return s
 
 
-def _mesh_edges(ph, s, half, b_max, budget):
-    """Panel edges on [s, half] bounding the phase change per panel."""
-    pieces = [np.linspace(s, half, 9)]
-    if ph.a > 0:
+def _mesh_edges(ph, s, half, b_max, budget, strides):
+    """Panel edges on [s, half], one array per stride, each bounding the
+    phase change per panel by stride * budget.
+
+    Every piece is built once at `budget`, and a stride keeps every
+    stride-th of its edges past s, so the meshes nest.
+    """
+    pieces = []  # edge k = 1, 2, ... past s of each piece
+    if ph.a > 0 and s < half:
         phi_s = float(ph.phi(s))
-        targets = np.arange(phi_s - budget, float(ph.phi(half)), -budget)
-        pieces.append(_invert_phase(ph, targets, s))
-        n_geo = math.ceil(math.log(half / s) / math.log1p(budget / 2.0))
-        pieces.append(np.geomspace(s, half, n_geo + 1))
+        # k budget is exactly (k / 2) (2 budget): the targets nest in floats
+        k = np.arange(1.0, (phi_s - float(ph.phi(half))) / budget)
+        pieces.append(_invert_phase(ph, phi_s - budget * k, s))
+        # geometric grading in closed form (np.geomspace costs ~37 us a
+        # call), with m a multiple of the largest stride
+        m = math.ceil(math.log(half / s) / math.log1p(budget / 2.0))
+        m = -(-m // strides[0]) * strides[0]
+        pieces.append(s * (half / s) ** (np.arange(1, m) / m))
     if b_max * (half - s) > budget:
-        pieces.append(np.arange(s, half, budget / b_max))
-    # sorted and deduplicated as by np.unique, which would import numpy.ma
-    # (about 16 ms of a cold command-line run)
-    edges = np.sort(np.concatenate(pieces))
-    return np.clip(edges[np.append(True, edges[1:] != edges[:-1])], s, half)
+        step = budget / b_max
+        pieces.append(s + step * np.arange(1.0, (half - s) / step))
+    shared = np.linspace(s, half, 9)
+    meshes = []
+    for stride in strides:
+        edges = np.sort(np.concatenate(
+            [shared] + [p[stride - 1::stride] for p in pieces]))
+        # deduplicated as by np.unique, which would import numpy.ma (about
+        # 16 ms of a cold command-line run)
+        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        meshes.append(np.clip(edges, s, half))
+    return meshes
 
 
 def _gauss_nodes(edges):
@@ -405,77 +434,91 @@ def _gauss_nodes(edges):
     return nodes, weights
 
 
-def _newton(ph, z, w):
-    """Polish z to phi(z) = w, or raise QuadratureError."""
-    # quadratic convergence: a last step below 1e-10 |z| leaves ~1e-20 |z|
-    for _ in range(_NEWTON_STEPS):
-        f = ph.phi(z)
-        dz = (f - w) / (f * ph.logder(z))
-        z -= dz
-        if abs(dz) <= 1e-10 * abs(z):
-            return z
-    raise QuadratureError(f"steepest-descent path lost: Newton did not "
-                          f"converge at phi = {w:.6g}")
+def _columns(parts):
+    """Stack parts one below the other, part k in column k, zeros elsewhere."""
+    out = np.zeros((sum(p.size for p in parts), len(parts)))
+    row = 0
+    for k, p in enumerate(parts):
+        out[row:row + p.size, k] = p
+        row += p.size
+    return out
 
 
 def _descent_path(ph, s, w):
-    """Points z_j on phi(z_j) = w_j = phi(s) + i p_j (p_j rising) from s."""
+    """Points z_j on phi(z_j) = w_j = phi(s) + i p_j (p_j >= 0) through s.
+
+    One Newton solve in log z of log(phi(z) / w) = 0 over all w, from the
+    local power law at s.  It must converge within _NEWTON_STEPS and land
+    in Re z > 0, where phi(z) = w has only the path's root; otherwise
+    QuadratureError.
+    """
     if ph.c == 0:
         return (ph.a / w) ** (1.0 / 3.0)
-    out = np.empty(w.size, dtype=complex)
-    z, w_at = complex(s), complex(w[0].real)
-    for j, target in enumerate(w.tolist()):
-        # sub-steps with |dw| <= |w| / 4 keep Newton on the branch
-        n_sub = math.ceil(4.0 * abs(target - w_at) / abs(w_at))
-        dw = (target - w_at) / n_sub
-        for _ in range(n_sub):
-            # predictor: locally phi ~ z^alpha with alpha = z logder(z)
-            z *= (1.0 + dw / w_at) ** (1.0 / (z * ph.logder(z)))
-            w_at += dw
-            z = _newton(ph, z, w_at)
-        out[j] = z
-    return out
+    phi_s = ph.phi(s)
+    u = math.log(s) + np.log(w / phi_s) / (s * ph.logder(s))
+    # quadratic convergence: a last step below 1e-10 leaves ~1e-20 in log z
+    for _ in range(_NEWTON_STEPS):
+        z = np.exp(u)
+        du = np.log(ph.phi(z) / w) / (z * ph.logder(z))
+        u = u - du
+        if (np.abs(du) <= 1e-10).all():
+            z = np.exp(u)
+            if (z.real > 0).all():
+                return z
+            break
+    raise QuadratureError(f"steepest-descent path lost: Newton did not "
+                          f"reach Re z > 0 for phi(s) = {phi_s:.6g}")
 
 
-def _wall_piece(ph, bs, half, s, rule):
-    """Int_0^s cos[b (half - z)] e^{i phi(z)} dz along the descent path."""
-    p, weights = rule
+def _wall_piece(ph, bs, half, s, rules):
+    """Int_0^s cos[b (half - z)] e^{i phi(z)} dz along the descent path,
+    one column per Gauss-Laguerre rule."""
     phi_s = float(ph.phi(s))
-    w = phi_s + 1j * p
+    w = phi_s + 1j * np.concatenate([p for p, _ in rules])
     z = _descent_path(ph, s, w)
     # on the path phi'(z) = phi(z) logder(z) = w logder(z)
-    core = -1j * np.exp(1j * phi_s) * weights / (w * ph.logder(z))
-    return _cos_dot(bs, z, core, half)
+    core = -1j * np.exp(1j * phi_s) / (w * ph.logder(z))
+    weights = _columns([rule_weights for _, rule_weights in rules])
+    return _cos_dot(bs, z, weights * core[:, None], half)
 
 
 def _cos_dot(bs, nodes, core, half):
-    """out[j] = sum_i cos(bs[j] (half - nodes[i])) core[i], chunked.
+    """out[j, k] = sum_i cos(bs[j] (half - nodes[i])) core[i, k], chunked
+    over bs at 4M cosines; a 1-d core gives a 1-d out.
 
-    For real nodes the cosine matrix is real: it multiplies core as the
-    two real columns [re, im], since a real-by-complex product would
+    For real nodes the cosine matrix is real: it multiplies each complex
+    column of core as two real ones, since a real-by-complex product would
     first copy the matrix to complex.
     """
-    out = np.empty(bs.size, dtype=complex)
     span = half - nodes
     real = np.isrealobj(span)
-    rhs = np.ascontiguousarray(core, dtype=complex)
+    columns = np.ndim(core) == 2
+    rhs = np.ascontiguousarray(core if columns else core[:, None],
+                               dtype=complex)
+    out = np.empty((bs.size, rhs.shape[1]), dtype=complex)
     if real:
-        rhs = rhs.view(float).reshape(-1, 2)
+        rhs = rhs.view(float)
     step = max(1, int(4_000_000 // max(nodes.size, 1)))
     for i in range(0, bs.size, step):
         block = np.cos(bs[i:i + step, None] * span[None, :]) @ rhs
-        out[i:i + step] = block.view(complex)[:, 0] if real else block
-    return out
+        out[i:i + step] = block.view(complex) if real else block
+    return out if columns else out[:, 0]
 
 
-def _integrals_once(ph, bs, half, s, budget, rule):
-    """One quadrature pass at one phase budget and Laguerre rule."""
-    edges = _mesh_edges(ph, s, half, float(bs.max()), budget)
-    nodes, weights = _gauss_nodes(edges)
+def _integrals(ph, bs, half, s, budget, rules):
+    """Quadrature passes on nested meshes, one column per Gauss-Laguerre
+    rule from coarse to fine: the last has phase budget `budget`, each
+    earlier one twice the next one's."""
+    strides = [2 ** k for k in range(len(rules) - 1, -1, -1)]
+    meshes = [_gauss_nodes(edges) for edges in
+              _mesh_edges(ph, s, half, float(bs.max()), budget, strides)]
+    nodes = np.concatenate([mesh_nodes for mesh_nodes, _ in meshes])
+    weights = _columns([mesh_weights for _, mesh_weights in meshes])
     if ph.a == 0:
         return _cos_dot(bs, nodes, weights, half)
-    outer = _cos_dot(bs, nodes, weights * np.exp(1j * ph.phi(nodes)), half)
-    return outer + _wall_piece(ph, bs, half, s, rule)
+    tau = np.exp(1j * ph.phi(nodes))
+    outer = _cos_dot(bs, nodes, weights * tau[:, None], half)
+    return outer + _wall_piece(ph, bs, half, s, rules)
 
 
 def _chebyshev_degree(omega):
@@ -535,8 +578,10 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     path, to Gauss-Legendre panels on [s, s0/2] (see the strategy note).
     The estimate per b is |fine - coarse| between the passes (phase budget
     pi/4, 10 Laguerre nodes) and (pi/8, 20), plus 1e-15 s0/2, judged
-    against tol * (s0/2), the zero-order scale.  One escalation pass (pi/16,
-    40) runs before QuadratureError, also raised if the path is lost.
+    against tol * (s0/2), the zero-order scale.  The two passes share one
+    nested mesh, one path solve and one cosine matrix each for the panels
+    and the path.  One escalation pass (pi/16, 40) runs, on its own mesh,
+    before QuadratureError, also raised if the path is lost.
 
     When more b are asked for than the degree n of the band-limited
     interpolant needs (about 37 for +-10 orders of the shipped configs),
@@ -554,9 +599,11 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     s = _split_point(ph, half, float(bs.max())) if ph.a > 0 else 0.0
     sampling = _b_samples(bs, half)
     run = bs if sampling is None else sampling[0]
-    fine = _integrals_once(ph, run, half, s, *_PASSES[0])
-    for budget, rule in _PASSES[1:]:
-        coarse, fine = fine, _integrals_once(ph, run, half, s, budget, rule)
+    coarse, fine = _integrals(ph, run, half, s, *_PASSES[0]).T
+    for escalate in (False, True):
+        if escalate:
+            escalation = _integrals(ph, run, half, s, *_PASSES[1])
+            coarse, fine = fine, escalation[:, 0]
         vals, est = fine, np.abs(fine - coarse) + _EST_FLOOR * half
         if sampling is not None:
             points, weights, bound = sampling

@@ -376,6 +376,12 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     chi2_min / dof otherwise (the usual rescaling when sigma is
     unknown); it is floored at xatol, the optimizer's resolution.
 
+    The model is monochromatic: beam.dv_over_u is ignored.  Data made
+    with a velocity spread are fitted with a bias; on orders 1..10
+    averaged over the shipped configs' 3% spread the fit gives
+    C3 = 4.130 +- 0.024 (He*) and 4.116 +- 0.015 (Ne*) against a true
+    4.1 (ROADMAP.md: fit and synthesise the model that made the data).
+
     Raises
     ------
     FitFailureError
@@ -480,6 +486,9 @@ def synthesize_orders(potential, geometry, beam, orders, noise_fraction=0.0,
     model value.  noise_fraction = 0 returns the exact model without
     sigma: it has no measurement error, and the quadrature error estimate
     is not one, so fit_c3 fits it unweighted.
+
+    The model is monochromatic: beam.dv_over_u is ignored, unlike
+    velocity_averaged_intensities (see fit_c3 for the resulting bias).
     """
     _require(_finite([noise_fraction]) and 0 <= noise_fraction < 1,
              "noise_fraction must lie in [0, 1)")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,7 @@ def _reference(geometry, beam, c3):
 
 
 class TestSlitQuadrature:
+    @pytest.mark.slow
     def test_matches_reference_he(self, potential, geometry, he_beam):
         ref = _reference(geometry, he_beam, potential.c3)
         for n in (0, 1, 3, 5):
@@ -199,6 +201,7 @@ class TestSlitQuadrature:
             expected = ref.value(b)
             assert abs(got[0] - expected) / abs(expected) < 5e-9
 
+    @pytest.mark.slow
     def test_matches_reference_square_wall(self, potential, he_beam):
         geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
                                wedge_angle=0.0)
@@ -209,6 +212,7 @@ class TestSlitQuadrature:
         expected = ref.value(b)
         assert abs(got[0] - expected) / abs(expected) < 5e-9
 
+    @pytest.mark.slow
     def test_matches_reference_ne(self, geometry, ne_beam):
         pot = Potential(2.8)
         ref = _reference(geometry, ne_beam, pot.c3)
@@ -217,6 +221,7 @@ class TestSlitQuadrature:
         expected = ref.value(b)
         assert abs(got[0] - expected) / abs(expected) < 5e-9
 
+    @pytest.mark.slow
     def test_error_estimate_covers_reference_gap(self, potential, geometry,
                                                  he_beam):
         ref = _reference(geometry, he_beam, potential.c3)
@@ -234,6 +239,7 @@ class TestSlitQuadrature:
         v2, _ = _slit_integrals(potential, geometry, he_beam, bs, 5e-9)
         assert np.all(np.abs(v1 - v2) <= e1 + 1e-15 * geometry.half_width)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("mass_u, velocity, beta_deg, c3", [
         (4.002602, 2347.0, 60.0, 0.001),
         (4.002602, 5000.0, 30.0, 0.01),
@@ -327,6 +333,68 @@ class TestSlitQuadrature:
         with pytest.raises(QuadratureError):
             _slit_integrals(potential, geometry, he_beam, np.array([0.1]),
                             1e-8)
+
+    @pytest.mark.parametrize("mass_u", [4.002602, 20.1797])
+    def test_descent_path_is_the_right_half_plane_root(self, mass_u):
+        # phi(z) = w on a tapered wall is, with x = z/c and q = A/(w c^3),
+        # the quartic x^2 (x+1)^2 - q (2x+1)/2 = 0: the path point must be
+        # its only root with Re x > 0
+        p = np.concatenate([nodes for _, rules in grating._PASSES
+                            for nodes, _ in rules])
+        worst = 0.0
+        for beta_deg, c3, velocity, order in itertools.product(
+                (1.0, 11.0, 30.0, 60.0), (1e-3, 0.1, 4.0, 50.0, 1e4),
+                (200.0, 2347.0, 5000.0), (0, 10)):
+            geom = GratingGeometry(period=100.0, slit_width=66.8,
+                                   bar_depth=53.0,
+                                   wedge_angle=math.radians(beta_deg))
+            beam = BeamState(mass_u=mass_u, velocity=velocity)
+            ph = grating._WallPhase(Potential(c3), geom, beam)
+            s = grating._split_point(ph, geom.half_width,
+                                     2 * math.pi * order / geom.period)
+            w = float(ph.phi(s)) + 1j * p
+            z = grating._descent_path(ph, s, w)
+            for zj, q in zip(z, ph.a / (w * ph.c**3)):
+                x = np.roots([1.0, 2.0, 1.0, -q, -q / 2])
+                right = x[x.real > 0]
+                assert right.size == 1
+                worst = max(worst, abs(zj - right[0] * ph.c) / abs(zj))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("config, panels", [
+        # (coarse, fine) panel counts of two meshes built independently
+        # at budgets pi/4 and pi/8 with np.geomspace grading
+        ("he_config_path", (57, 105)),
+        ("ne_config_path", (55, 102)),
+    ])
+    def test_order_set_cost(self, config, panels, request, monkeypatch):
+        # the coarse and fine passes share one mesh, one path solve and
+        # one cosine matrix each for the panels and the path
+        cfg = load_config(request.getfixturevalue(config))
+        calls, meshes = [], []
+
+        def counted(attr):
+            f = getattr(grating, attr)
+
+            def wrapped(*args, **kwargs):
+                calls.append(attr)
+                out = f(*args, **kwargs)
+                if attr == "_mesh_edges":
+                    meshes.append([edges.size - 1 for edges in out])
+                return out
+            return wrapped
+
+        for attr in ("_slit_integrals", "_cos_dot", "_invert_phase",
+                     "_mesh_edges"):
+            monkeypatch.setattr(grating, attr, counted(attr))
+        intensities_for_orders(cfg.potential, cfg.geometry, cfg.beam,
+                               range(1, 11), tol=cfg.tolerance)
+        assert cfg.potential.c3 > 0
+        assert calls.count("_slit_integrals") == 1
+        assert calls.count("_cos_dot") == 2
+        assert calls.count("_invert_phase") <= 3
+        assert len(meshes) == 1
+        assert all(got <= old + 1 for got, old in zip(meshes[0], panels))
 
     def test_free_slit_closed_form(self, geometry, he_beam):
         # C3 = 0 reduces f(theta) to the single-slit diffraction formula
