@@ -254,13 +254,7 @@ def diffraction_angle(order, wavelength, period):
 
     Raises EvanescentOrderError when |n| lambda / d > 1.
     """
-    _require(_finite([wavelength, period]) and wavelength > 0 and period > 0,
-             "wavelength and period must be positive and finite")
-    s = order * wavelength / period
-    if abs(s) > 1.0:
-        raise EvanescentOrderError(
-            f"order {order} is evanescent: |n lambda / d| = {abs(s):.6g} > 1")
-    return math.asin(s)
+    return float(_order_thetas((order,), wavelength, period)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +264,44 @@ class _WallPhase:
     """Closed-form eikonal phase of one tapered bar wall.
 
     phi(z)  = A (2 z + c) / (2 z^2 (z + c)^2)
-    phi'(z) = phi * L,   L = 2/(2z+c) - 2/z - 2/(z+c)
+    z phi'(z) / phi(z) = -2 - 2 z^2 / ((2 z + c) (z + c))
 
     with A = C3 t / (hbar v) in nm^3 and c = t tan(beta) in nm.  The
     rational forms stay exact for c = 0, where phi = A / z^3, and for
     complex z.  phi never forms z^4, so tiny z (tiny A) stay in range.
+    A may be an array of one A per item, with z shaped to broadcast.
     """
 
     __slots__ = ("a", "c")
 
     def __init__(self, potential, geometry, beam):
-        c3_ev = potential.c3 * 1e-3  # meV nm^3 -> eV nm^3
-        hv = HBAR_EV_S * beam.velocity * NM_PER_M  # eV nm
-        self.a = c3_ev * geometry.bar_depth / hv
-        self.c = geometry.bar_depth * math.tan(geometry.wedge_angle)
+        self.a, self.c = _phase_constants(potential.c3, geometry,
+                                          beam.velocity)
+
+    @classmethod
+    def of(cls, a, c):
+        ph = cls.__new__(cls)
+        ph.a, ph.c = a, c
+        return ph
 
     def phi(self, z):
         zc = z * (z + self.c)
         return (self.a / zc) * (2.0 * z + self.c) / (2.0 * zc)
 
-    def logder(self, z):
-        """phi'(z) / phi(z)."""
-        return 2.0 / (2.0 * z + self.c) - 2.0 / z - 2.0 / (z + self.c)
+    def phi_slope(self, z):
+        """phi(z) and d log(phi) / d log(z) = z phi'(z) / phi(z)."""
+        zc = z + self.c
+        h = z + zc
+        q = z * zc
+        return (self.a / q) * h / (2.0 * q), -2.0 - 2.0 * (z / h) * (z / zc)
+
+
+def _phase_constants(c3, geometry, velocity):
+    """(A, c) of the wall phase; c3 and velocity may be arrays."""
+    c3_ev = c3 * 1e-3  # meV nm^3 -> eV nm^3
+    hv = HBAR_EV_S * velocity * NM_PER_M  # eV nm
+    return (c3_ev * geometry.bar_depth / hv,
+            geometry.bar_depth * math.tan(geometry.wedge_angle))
 
 
 def wall_phase(zeta, potential, geometry, beam):
@@ -332,13 +342,21 @@ def transmission_factor(zeta, potential, geometry, beam):
 # the budget, the Laguerre order, log(s0/s) and b s0, not by C3/v.  All
 # orders share the nodes.
 #
-# The coarse pass (budget pi/4, 10 Laguerre nodes) and the fine pass
-# (pi/8, 20) run together: the coarse mesh keeps every other edge of each
-# piece of the fine one (phase targets phi(s) - k pi/8, geometric grading
-# s (s0/(2s))^(k/m) with m even, b steps k pi/(8 b_max)), one Newton solve
+# The coarse pass (budget pi/2, 10 Laguerre nodes) and the fine pass
+# (pi/4, 20) run together: the coarse mesh keeps every other edge of each
+# piece of the fine one (phase targets phi(s) - k pi/4, geometric grading
+# s (s0/(2s))^(k/m) with m even, b steps k pi/(4 b_max)), one Newton solve
 # places the path points of both rules, and one cosine matrix serves the
 # outer nodes of both passes, one the wall nodes, each against one column
-# per pass.
+# per pass.  An item that fails the pair runs the escalation pass (pi/8,
+# 40) on its own.
+#
+# One call evaluates M items (A_m, b-row_m) of one geometry and one tol:
+# the C3 grid of a fit, or the velocity nodes of an average.  The setup
+# runs once for all of them (split points, every mesh as NaN-padded rows
+# of edges, one Newton solve for every path point, tau), and then each
+# item gets its own products, so that its cosine matrices stay in cache.
+# One item runs the same code on numpy scalars in place of rows.
 #
 # Sampling in b: F(b) = Int_0^{s0/2} cos[b (s0/2 - zeta)] tau dzeta is
 # entire, with |F(b)| <= (s0/2) e^{|Im b| s0/2}.  Map [b_min, b_max] onto
@@ -361,8 +379,8 @@ _EST_FLOOR = 1e-15  # floor of every error estimate, in units of s0/2
 _GAUSS_X, _GAUSS_W = leggauss(8)
 # (phase budget of the finest mesh, Gauss-Laguerre rules coarse to fine):
 # the coarse and fine passes run together, the escalation pass alone
-_PASSES = ((math.pi / 8, (laggauss(10), laggauss(20))),
-           (math.pi / 16, (laggauss(40),)))
+_PASSES = ((math.pi / 4, (laggauss(10), laggauss(20))),
+           (math.pi / 8, (laggauss(40),)))
 
 
 def _invert_phase(ph, targets, z, m=0):
@@ -373,70 +391,136 @@ def _invert_phase(ph, targets, z, m=0):
     """
     u, log_t = np.log(z), np.log(targets)
     for _ in range(_NEWTON_STEPS):
-        z = np.exp(u)
-        du = (np.log(ph.phi(z)) - m * u - log_t) / (z * ph.logder(z) - m)
+        phi, slope = ph.phi_slope(np.exp(u))
+        if m:
+            du = (np.log(phi) - m * u - log_t) / (slope - m)
+        else:
+            du = (np.log(phi) - log_t) / slope
         u = u - du
-        if (np.abs(du) <= 1e-10).all():
+        if np.abs(du).max(initial=0.0) <= 1e-10:
             break
     return np.exp(u)
 
 
+def _item_values(x):
+    """Values with one entry per item, as a scalar for one item and as a
+    column for several, so that a one-item call runs on numpy scalars."""
+    x = np.asarray(x, dtype=float)
+    return x[0] if x.size == 1 else x[:, None]
+
+
+def _select(ph, s, i, items):
+    """(phase, split points) of the items i out of `items`; all of them as
+    they are."""
+    if len(i) == items:
+        return ph, s
+    return _WallPhase.of(ph.a[i], ph.c), s[i]
+
+
 def _split_point(ph, half, b_max):
-    """Largest s <= half with phi(s) >= _PHI_SPLIT, b_max s <= _KAPPA phi(s)."""
-    s = half
+    """Largest s <= half with phi(s) >= _PHI_SPLIT, b_max s <= _KAPPA phi(s),
+    for each item of A (> 0) and b_max."""
+    s = half + 0.0 * ph.a
     # both phi(z) / z^m decrease, so moving s in keeps what held before
     for target, m in ((_PHI_SPLIT, 0), (b_max / _KAPPA, 1)):
-        if ph.phi(s) < target * s**m:
-            # phi <= A / z^3: start at the root of that bound
-            z = (ph.a / target) ** (1.0 / (3 + m))
-            s = float(_invert_phase(ph, target, z, m))
+        move = ph.phi(s) < target * s**m
+        several = np.ndim(move) > 0
+        if not (move.any() if several else move):
+            continue
+        if several:
+            target = np.where(move, target, _PHI_SPLIT)
+        # phi <= A / z^3: start at the root of that bound
+        z = _invert_phase(ph, target, (ph.a / target) ** (1.0 / (3 + m)), m)
+        s = np.where(move, z, s) if several else z
     return s
 
 
 def _mesh_edges(ph, s, half, b_max, budget, strides):
-    """Panel edges on [s, half], one array per stride, each bounding the
-    phase change per panel by stride * budget.
+    """Panel edges on [s, half] of every item, one array per stride (a row
+    per item when there are several), ascending and NaN-padded at the end,
+    bounding the phase change per panel by stride * budget.
 
     Every piece is built once at `budget`, and a stride keeps every
-    stride-th of its edges past s, so the meshes nest.
+    stride-th of its edges past s, so the meshes nest.  Repeated edges
+    bound empty panels, which get no nodes.
     """
-    pieces = []  # edge k = 1, 2, ... past s of each piece
-    if ph.a > 0 and s < half:
-        phi_s = float(ph.phi(s))
-        # k budget is exactly (k / 2) (2 budget): the targets nest in floats
-        k = np.arange(1.0, (phi_s - float(ph.phi(half))) / budget)
-        pieces.append(_invert_phase(ph, phi_s - budget * k, s))
-        # geometric grading in closed form (np.geomspace costs ~37 us a
-        # call), with m a multiple of the largest stride
-        m = math.ceil(math.log(half / s) / math.log1p(budget / 2.0))
-        m = -(-m // strides[0]) * strides[0]
-        pieces.append(s * (half / s) ** (np.arange(1, m) / m))
-    if b_max * (half - s) > budget:
-        step = budget / b_max
-        pieces.append(s + step * np.arange(1.0, (half - s) / step))
-    shared = np.linspace(s, half, 9)
+    several = np.ndim(s) > 0
+
+    def piece(stop, edges):
+        """edges(k) for k = 1, 2, ... as np.arange(1.0, stop), NaN past
+        each item's last k."""
+        size = np.maximum(np.ceil(stop - 1.0), 0.0)
+        if not several:
+            return edges(np.arange(1.0, size + 1.0))
+        k = np.arange(1.0, size.max() + 1.0)
+        return np.where(k <= size, edges(k), np.nan)
+
+    # the wall pieces are empty at A = 0, as they are at s = half; there
+    # a stand-in A = 1 keeps the Newton solve of several items finite
+    if several:
+        live = ph.a > 0
+        sw = np.where(live, s, half)
+        ph = _WallPhase.of(np.where(live, ph.a, 1.0), ph.c)
+    else:
+        sw = s if ph.a > 0 else half
+    phi_s, slope = ph.phi_slope(sw)
+    phi_half = ph.phi(half)
+
+    def targets(k):
+        # k budget is exactly (k / 2) (2 budget): the targets nest in
+        # floats; past an item's last edge they stop at phi(half)
+        t = np.maximum(phi_s - budget * k, phi_half)
+        # Newton starts from the local power law at s
+        return _invert_phase(ph, t, sw * np.exp(np.log(t / phi_s) / slope))
+
+    pieces = [piece((phi_s - phi_half) / budget, targets)]
+    # geometric grading in closed form (np.geomspace costs ~37 us a
+    # call), with m a multiple of the largest stride
+    m = np.ceil(np.log(half / sw) / math.log1p(budget / 2.0))
+    m = np.maximum(np.ceil(m / strides[0]), 1.0) * strides[0]
+    pieces.append(piece(m, lambda k: sw * (half / sw) ** (k / m)))
+    # b steps; there are none where b_max (half - s) <= budget
+    step = budget / np.maximum(b_max, budget / half)
+    pieces.append(piece((half - s) / step, lambda k: s + step * k))
+    # 9 shared edges, computed as np.linspace computes them
+    shared = (half - s) / 8.0 * np.arange(9.0) + s
+    shared[..., -1] = half
     meshes = []
     for stride in strides:
-        edges = np.sort(np.concatenate(
-            [shared] + [p[stride - 1::stride] for p in pieces]))
-        # deduplicated as by np.unique, which would import numpy.ma (about
-        # 16 ms of a cold command-line run)
-        edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        edges = np.concatenate(
+            [shared] + [p[..., stride - 1::stride] for p in pieces], axis=-1)
+        edges.sort(axis=-1)
         meshes.append(np.clip(edges, s, half))
     return meshes
 
 
-def _gauss_nodes(edges):
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + hw[:, None] * _GAUSS_X[None, :]).ravel()
-    weights = (hw[:, None] * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
+def _gauss_nodes(ph, meshes):
+    """Gauss-Legendre nodes on the nonempty panels of the meshes, item by
+    item and, within an item, mesh by mesh; weight times tau = e^{i phi} at
+    each node; and the node count of each item in each mesh."""
+    lo = np.concatenate([edges[..., :-1] for edges in meshes], axis=-1)
+    hi = np.concatenate([edges[..., 1:] for edges in meshes], axis=-1)
+    panels = hi > lo  # False at NaN
+    sizes, end = [], 0
+    for edges in meshes:
+        sizes.append(panels[..., end:end + edges.shape[-1] - 1].sum(axis=-1))
+        end += edges.shape[-1] - 1
+    # A of each panel when there are several items
+    a = ph.a[np.nonzero(panels)[0]] if panels.ndim > 1 else ph.a
+    lo, hi = lo[panels], hi[panels]
+    mid, hw = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = mid[:, None] + hw[:, None] * _GAUSS_X[None, :]
+    # phi vanishes at A = 0, where tau = 1
+    tau = np.exp(1j * _WallPhase.of(a, ph.c).phi(nodes))
+    return (nodes.ravel(), (hw[:, None] * _GAUSS_W * tau).ravel(),
+            (np.reshape(sizes, (len(meshes), -1)).T
+             * _GAUSS_X.size).tolist())
 
 
 def _columns(parts):
     """Stack parts one below the other, part k in column k, zeros elsewhere."""
-    out = np.zeros((sum(p.size for p in parts), len(parts)))
+    out = np.zeros((sum(p.size for p in parts), len(parts)),
+                   dtype=np.result_type(*parts))
     row = 0
     for k, p in enumerate(parts):
         out[row:row + p.size, k] = p
@@ -445,7 +529,8 @@ def _columns(parts):
 
 
 def _descent_path(ph, s, w):
-    """Points z_j on phi(z_j) = w_j = phi(s) + i p_j (p_j >= 0) through s.
+    """Points z_j on phi(z_j) = w_j = phi(s) + i p_j (p_j >= 0) through s,
+    for A, s and w that broadcast together.
 
     One Newton solve in log z of log(phi(z) / w) = 0 over all w, from the
     local power law at s.  It must converge within _NEWTON_STEPS and land
@@ -454,12 +539,12 @@ def _descent_path(ph, s, w):
     """
     if ph.c == 0:
         return (ph.a / w) ** (1.0 / 3.0)
-    phi_s = ph.phi(s)
-    u = math.log(s) + np.log(w / phi_s) / (s * ph.logder(s))
+    phi_s, slope = ph.phi_slope(s)
+    u = np.log(s) + np.log(w / phi_s) / slope
     # quadratic convergence: a last step below 1e-10 leaves ~1e-20 in log z
     for _ in range(_NEWTON_STEPS):
-        z = np.exp(u)
-        du = np.log(ph.phi(z) / w) / (z * ph.logder(z))
+        phi, slope = ph.phi_slope(np.exp(u))
+        du = np.log(phi / w) / slope
         u = u - du
         if (np.abs(du) <= 1e-10).all():
             z = np.exp(u)
@@ -467,19 +552,22 @@ def _descent_path(ph, s, w):
                 return z
             break
     raise QuadratureError(f"steepest-descent path lost: Newton did not "
-                          f"reach Re z > 0 for phi(s) = {phi_s:.6g}")
+                          f"reach Re z > 0 for phi(s) up to "
+                          f"{np.max(phi_s):.6g}")
 
 
-def _wall_piece(ph, bs, half, s, rules):
-    """Int_0^s cos[b (half - z)] e^{i phi(z)} dz along the descent path,
-    one column per Gauss-Laguerre rule."""
-    phi_s = float(ph.phi(s))
+def _wall_nodes(ph, s, rules):
+    """Descent-path points and their weights for Int_0^s g(z) e^{i phi(z)}
+    dz of every item (A > 0), one column per Gauss-Laguerre rule: shaped
+    (items, nodes) and (items, nodes, rules)."""
+    phi_s = ph.phi(s)
     w = phi_s + 1j * np.concatenate([p for p, _ in rules])
     z = _descent_path(ph, s, w)
-    # on the path phi'(z) = phi(z) logder(z) = w logder(z)
-    core = -1j * np.exp(1j * phi_s) / (w * ph.logder(z))
+    # on the path z phi'(z) = w slope(z)
+    core = -1j * np.exp(1j * phi_s) * z / (w * ph.phi_slope(z)[1])
     weights = _columns([rule_weights for _, rule_weights in rules])
-    return _cos_dot(bs, z, weights * core[:, None], half)
+    return (np.reshape(z, (-1, w.shape[-1])),
+            np.reshape(core, (-1, w.shape[-1], 1)) * weights)
 
 
 def _cos_dot(bs, nodes, core, half):
@@ -505,20 +593,29 @@ def _cos_dot(bs, nodes, core, half):
     return out if columns else out[:, 0]
 
 
-def _integrals(ph, bs, half, s, budget, rules):
-    """Quadrature passes on nested meshes, one column per Gauss-Laguerre
-    rule from coarse to fine: the last has phase budget `budget`, each
-    earlier one twice the next one's."""
+def _passes(ph, rows, half, s, budget, rules):
+    """Quadrature passes of every item on nested meshes, shaped (items, b,
+    rules): one column per Gauss-Laguerre rule from coarse to fine, the
+    last at phase budget `budget`, each earlier one at twice the next
+    one's."""
     strides = [2 ** k for k in range(len(rules) - 1, -1, -1)]
-    meshes = [_gauss_nodes(edges) for edges in
-              _mesh_edges(ph, s, half, float(bs.max()), budget, strides)]
-    nodes = np.concatenate([mesh_nodes for mesh_nodes, _ in meshes])
-    weights = _columns([mesh_weights for _, mesh_weights in meshes])
-    if ph.a == 0:
-        return _cos_dot(bs, nodes, weights, half)
-    tau = np.exp(1j * ph.phi(nodes))
-    outer = _cos_dot(bs, nodes, weights * tau[:, None], half)
-    return outer + _wall_piece(ph, bs, half, s, rules)
+    nodes, core, sizes = _gauss_nodes(ph, _mesh_edges(
+        ph, s, half, _item_values(rows.max(axis=1)), budget, strides))
+    out = np.empty(rows.shape + (len(rules),), dtype=complex)
+    end = 0
+    for m, row in enumerate(rows):
+        start, parts = end, []
+        for size in sizes[m]:
+            parts.append(core[end:end + size])
+            end += size
+        out[m] = _cos_dot(row, nodes[start:end], _columns(parts), half)
+    # the wall piece, which A = 0 does not have
+    wall = np.flatnonzero(ph.a > 0)
+    if wall.size:
+        for m, z, weights in zip(wall, *_wall_nodes(
+                *_select(ph, s, wall, len(rows)), rules)):
+            out[m] += _cos_dot(rows[m], z, weights, half)
+    return out
 
 
 def _chebyshev_degree(omega):
@@ -570,6 +667,55 @@ def _barycentric(bs, points, weights, values, ests):
     return out, est
 
 
+def _slit_batch(c3s, velocities, geometry, rows, tol):
+    """Slit integrals of M items (C3_m, v_m, rows[m]) of one geometry, as
+    (values, estimates), each shaped like rows; see _slit_integrals.
+
+    The setup runs once for all items and the products once per item (see
+    the strategy note).  Only an item whose estimate fails escalates.  A
+    single item may be sampled in b; several run on their rows directly,
+    as the order sets that callers batch hold few distinct b.
+    """
+    _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
+    half = geometry.half_width
+    sampling = _b_samples(rows[0], half) if len(rows) == 1 else None
+    run = rows if sampling is None else sampling[0][None, :]
+    ph = _WallPhase.of(*_phase_constants(
+        _item_values(c3s), geometry, _item_values(velocities)))
+    b_max = _item_values(run.max(axis=1))
+    # no wall piece at A = 0: s = 0 there
+    if len(rows) == 1:
+        s = _split_point(ph, half, b_max) if ph.a > 0 else 0.0
+    else:
+        live = ph.a > 0
+        s = np.where(live, _split_point(_WallPhase.of(
+            np.where(live, ph.a, 1.0), ph.c), half, b_max), 0.0)
+
+    def judged(vals, est):
+        if sampling is None:
+            return vals, est
+        points, weights, bound = sampling
+        vals, est = _barycentric(rows[0], points, weights, vals[0], est[0])
+        return vals[None, :], est[None, :] + bound
+
+    passes = _passes(ph, run, half, s, *_PASSES[0])
+    coarse, fine = passes[..., 0], passes[..., 1]
+    vals, est = judged(fine, np.abs(fine - coarse) + _EST_FLOOR * half)
+    failed = np.flatnonzero((est > tol * half).any(axis=1))
+    if failed.size:
+        esc_ph, esc_s = _select(ph, s, failed, len(rows))
+        escalated = _passes(esc_ph, run[failed], half, esc_s,
+                            *_PASSES[1])[..., 0]
+        vals[failed], est[failed] = judged(
+            escalated, np.abs(escalated - fine[failed]) + _EST_FLOOR * half)
+        if (est > tol * half).any():
+            worst = float(np.max(est / half))
+            raise QuadratureError(f"slit quadrature stalled at relative "
+                                  f"error {worst:.3e} (requested "
+                                  f"{tol:.3e})", achieved=worst)
+    return vals, est
+
+
 def _slit_integrals(potential, geometry, beam, bs, tol):
     """Int_0^{s0/2} cos[b (s0/2 - zeta)] e^{i phi(zeta)} dzeta for many b.
 
@@ -577,11 +723,13 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     adds the wall piece [0, s], by Gauss-Laguerre on the steepest-descent
     path, to Gauss-Legendre panels on [s, s0/2] (see the strategy note).
     The estimate per b is |fine - coarse| between the passes (phase budget
-    pi/4, 10 Laguerre nodes) and (pi/8, 20), plus 1e-15 s0/2, judged
+    pi/2, 10 Laguerre nodes) and (pi/4, 20), plus 1e-15 s0/2, judged
     against tol * (s0/2), the zero-order scale.  The two passes share one
     nested mesh, one path solve and one cosine matrix each for the panels
-    and the path.  One escalation pass (pi/16, 40) runs, on its own mesh,
-    before QuadratureError, also raised if the path is lost.
+    and the path.  One escalation pass (pi/8, 40) runs, on its own mesh,
+    before QuadratureError, also raised if the path is lost.  This is the
+    one-item call of _slit_batch, which evaluates the velocity nodes of an
+    average or the C3 grid of a fit together.
 
     When more b are asked for than the degree n of the band-limited
     interpolant needs (about 37 for +-10 orders of the shipped configs),
@@ -591,29 +739,11 @@ def _slit_integrals(potential, geometry, beam, bs, tol):
     interpolation bound, at most 1e-15 s0/2, judged against the same
     tol * (s0/2).  Otherwise the passes run on bs itself.
     """
-    _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
     bs = np.asarray(bs, dtype=float)
     _require(_finite(bs) and np.all(bs >= 0), "b values must be >= 0")
-    ph = _WallPhase(potential, geometry, beam)
-    half = geometry.half_width
-    s = _split_point(ph, half, float(bs.max())) if ph.a > 0 else 0.0
-    sampling = _b_samples(bs, half)
-    run = bs if sampling is None else sampling[0]
-    coarse, fine = _integrals(ph, run, half, s, *_PASSES[0]).T
-    for escalate in (False, True):
-        if escalate:
-            escalation = _integrals(ph, run, half, s, *_PASSES[1])
-            coarse, fine = fine, escalation[:, 0]
-        vals, est = fine, np.abs(fine - coarse) + _EST_FLOOR * half
-        if sampling is not None:
-            points, weights, bound = sampling
-            vals, est = _barycentric(bs, points, weights, vals, est)
-            est += bound
-        if np.all(est <= tol * half):
-            return vals, est
-    worst = float(np.max(est / half))
-    raise QuadratureError(f"slit quadrature stalled at relative error "
-                          f"{worst:.3e} (requested {tol:.3e})", achieved=worst)
+    vals, est = _slit_batch([potential.c3], [beam.velocity], geometry,
+                            bs[None, :], tol)
+    return vals[0], est[0]
 
 
 def _amplitude_prefactor(theta, wavelength):
@@ -637,22 +767,44 @@ def slit_amplitude(theta, potential, geometry, beam, tol=1e-8):
 
 
 def _order_thetas(orders, wavelength, period):
-    return np.array([diffraction_angle(n, wavelength, period) for n in orders])
+    """diffraction_angle of each order, validating wavelength and period
+    once."""
+    _require(_finite([wavelength, period]) and wavelength > 0 and period > 0,
+             "wavelength and period must be positive and finite")
+    thetas = []
+    for n in orders:
+        s = n * wavelength / period
+        if abs(s) > 1.0:
+            raise EvanescentOrderError(
+                f"order {n} is evanescent: |n lambda / d| = {abs(s):.6g} > 1")
+        thetas.append(math.asin(s))
+    return np.array(thetas)
 
 
-def _raw_order_intensities(potential, geometry, beam, thetas, tol):
-    """Unnormalized |f(theta)|^2 at the detector angles thetas, with the
-    propagated quadrature error."""
-    bs = beam.wavevector * np.abs(np.sin(thetas))
+def _order_intensity_sets(potentials, geometry, beams, thetas, tol):
+    """(r, sigma) of _normalize_with_sigma for |f(theta)|^2 at the detector
+    angles thetas, with its propagated quadrature error, for each item
+    (potential_m, beam_m): one item in one _slit_integrals call, several
+    in one _slit_batch call."""
     # mirrored orders share |b|; integrate each distinct b once
-    uniq, inverse = np.unique(bs, return_inverse=True)
-    vals_u, ests_u = _slit_integrals(potential, geometry, beam, uniq, tol)
-    vals, ests = vals_u[inverse], ests_u[inverse]
-    pref = _amplitude_prefactor(thetas, beam.wavelength)
-    amp = np.abs(pref * vals)
-    err = np.abs(pref) * ests
-    # |amp^2 - true^2| <= 2 amp err + err^2 for |amp - true| <= err
-    return amp**2, 2.0 * amp * err + err**2
+    sines, inverse = np.unique(np.abs(np.sin(thetas)), return_inverse=True)
+    rows = np.array([beam.wavevector * sines for beam in beams])
+    if len(beams) == 1:
+        vals, ests = _slit_integrals(potentials[0], geometry, beams[0],
+                                     rows[0], tol)
+        vals, ests = [vals], [ests]
+    else:
+        vals, ests = _slit_batch([p.c3 for p in potentials],
+                                 [beam.velocity for beam in beams],
+                                 geometry, rows, tol)
+    sets = []
+    for vals_u, ests_u, beam in zip(vals, ests, beams):
+        pref = _amplitude_prefactor(thetas, beam.wavelength)
+        amp = np.abs(pref * vals_u[inverse])
+        err = np.abs(pref) * ests_u[inverse]
+        # |amp^2 - true^2| <= 2 amp err + err^2 for |amp - true| <= err
+        sets.append(_normalize_with_sigma(amp**2, 2.0 * amp * err + err**2))
+    return sets
 
 
 def _normalize_with_sigma(raw, raw_sigma):
@@ -676,8 +828,8 @@ def intensities_for_orders(potential, geometry, beam, orders, tol=1e-8):
     _require(all(b > a for a, b in zip(orders, orders[1:])),
              "orders must be strictly increasing")
     thetas = _order_thetas(orders, beam.wavelength, geometry.period)
-    r, sigma = _normalize_with_sigma(
-        *_raw_order_intensities(potential, geometry, beam, thetas, tol))
+    (r, sigma), = _order_intensity_sets([potential], geometry, [beam],
+                                        thetas, tol)
     return OrderIntensities(orders, r, sigma)
 
 
@@ -749,10 +901,11 @@ def velocity_averaged_intensities(potential, geometry, beam, n_max=10,
     angles theta_n(u); each velocity class contributes its normalized
     intensity there, weighted by Gauss-Hermite quadrature.  sigma is the
     weight-averaged quadrature error, each velocity class's own error
-    propagated through its own normalization.  quad_points must be odd
-    so the mean velocity is a node; quad_points = 1 runs the same code
-    path as order_intensities and reproduces its intensity and sigma
-    exactly.
+    propagated through its own normalization.  The velocity nodes go
+    through one batched slit-quadrature call (_slit_batch), which shares
+    its setup among them.  quad_points must be odd so the mean velocity is
+    a node; quad_points = 1 runs the same code path as order_intensities
+    and reproduces its intensity and sigma exactly.
     """
     _require(int(n_max) >= 1, "n_max must be >= 1")
     quad_points = int(quad_points)
@@ -770,12 +923,12 @@ def velocity_averaged_intensities(potential, geometry, beam, n_max=10,
             "velocity spread too large: quadrature node at v <= 0; "
             "reduce quad_points or dv_over_u")
 
+    beams = [dataclasses.replace(beam, velocity=float(vj))
+             for vj in velocities]
     intensity = np.zeros(len(orders))
     sigma = np.zeros(len(orders))
-    for wj, vj in zip(w, velocities):
-        beam_j = dataclasses.replace(beam, velocity=float(vj))
-        r, sig = _normalize_with_sigma(
-            *_raw_order_intensities(potential, geometry, beam_j, thetas, tol))
+    for wj, (r, sig) in zip(w, _order_intensity_sets(
+            [potential] * quad_points, geometry, beams, thetas, tol)):
         # the weights sum to one, so the average needs no renormalization
         intensity += wj * r
         sigma += wj * sig

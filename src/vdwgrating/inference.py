@@ -30,6 +30,8 @@ from .grating import (
     OrderIntensities,
     Potential,
     _finite,
+    _order_intensity_sets,
+    _order_thetas,
     _require,
     angular_pattern,
     intensities_for_orders,
@@ -364,12 +366,13 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     chi^2(C3) = sum_n w_n (R_n^obs - R_n^model(C3))^2 with w_n = 1/sigma_n^2
     when the observations carry uncertainties, else w_n = 1.  The model
     is normalized over exactly the observed orders.  A coarse grid over
-    bounds guards against multiple minima and boundary solutions, then
-    bounded Brent refinement (golden section with parabolic steps,
-    Brent 1973, step for step as scipy's minimize_scalar "bounded")
-    localizes the minimum to xatol between the grid neighbours of the
-    grid minimum.  The Delta-chi^2 crossings are found by Brent's root
-    finder, step for step as scipy's brentq.
+    bounds, evaluated in one batched slit-quadrature call, guards against
+    multiple minima and boundary solutions, then bounded Brent refinement
+    (golden section with parabolic steps, Brent 1973, step for step as
+    scipy's minimize_scalar "bounded") localizes the minimum to xatol
+    between the grid neighbours of the grid minimum.  The Delta-chi^2
+    crossings are found by Brent's root finder, step for step as scipy's
+    brentq.  Refinement and crossings evaluate one C3 at a time.
 
     The one-sigma uncertainty is half the width of the
     chi^2 = chi2_min + Delta interval, Delta = 1 for weighted fits and
@@ -422,6 +425,11 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
         return float(np.sum(weights * r * r))
 
     grid = np.linspace(lo, hi, int(grid_points))
+    thetas = _order_thetas(observed.orders, beam.wavelength, geometry.period)
+    potentials = [Potential(float(c3)) for c3 in grid]
+    for p, (r, _) in zip(potentials, _order_intensity_sets(
+            potentials, geometry, [beam] * grid.size, thetas, tol)):
+        cache[p.c3] = r
     curve = [chi2(x) for x in grid]
     minima = _strict_local_minima(curve)
     i0 = int(np.argmin(curve))

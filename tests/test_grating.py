@@ -362,10 +362,9 @@ class TestSlitQuadrature:
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("config, panels", [
-        # (coarse, fine) panel counts of two meshes built independently
-        # at budgets pi/4 and pi/8 with np.geomspace grading
-        ("he_config_path", (57, 105)),
-        ("ne_config_path", (55, 102)),
+        # (coarse, fine) panel counts at budgets pi/2 and pi/4, plus one
+        ("he_config_path", (33, 58)),
+        ("ne_config_path", (32, 57)),
     ])
     def test_order_set_cost(self, config, panels, request, monkeypatch):
         # the coarse and fine passes share one mesh, one path solve and
@@ -380,7 +379,8 @@ class TestSlitQuadrature:
                 calls.append(attr)
                 out = f(*args, **kwargs)
                 if attr == "_mesh_edges":
-                    meshes.append([edges.size - 1 for edges in out])
+                    meshes.append([int(np.sum(np.diff(edges) > 0))
+                                   for edges in out])
                 return out
             return wrapped
 
@@ -395,6 +395,23 @@ class TestSlitQuadrature:
         assert calls.count("_invert_phase") <= 3
         assert len(meshes) == 1
         assert all(got <= old + 1 for got, old in zip(meshes[0], panels))
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_velocity_average_cost(self, config, request, monkeypatch):
+        # the 11 velocity nodes share one mesh build and one path solve;
+        # each gets its own two products
+        cfg = load_config(request.getfixturevalue(config))
+        calls = []
+        for attr in ("_mesh_edges", "_descent_path", "_cos_dot"):
+            f = getattr(grating, attr)
+            monkeypatch.setattr(grating, attr, lambda *args, f=f, attr=attr: (
+                calls.append(attr) or f(*args)))
+        velocity_averaged_intensities(cfg.potential, cfg.geometry, cfg.beam,
+                                      n_max=cfg.n_max, quad_points=11,
+                                      tol=cfg.tolerance)
+        assert calls.count("_mesh_edges") == 1
+        assert calls.count("_descent_path") == 1
+        assert calls.count("_cos_dot") == 22
 
     def test_free_slit_closed_form(self, geometry, he_beam):
         # C3 = 0 reduces f(theta) to the single-slit diffraction formula
@@ -415,6 +432,87 @@ class TestSlitQuadrature:
         with pytest.raises(InvalidInputError):
             _slit_integrals(potential, geometry, he_beam, np.array([0.1]),
                             0.5)
+
+
+class TestSlitBatch:
+    """One _slit_batch call against one _slit_integrals call per item."""
+
+    @staticmethod
+    def _order_rows(beams, geom, orders=range(11)):
+        # the b of each beam's orders, at its own angles
+        return np.array([beam.wavevector * np.sin([
+            diffraction_angle(n, beam.wavelength, geom.period)
+            for n in orders]) for beam in beams])
+
+    @staticmethod
+    def _matches_single(c3s, beams, geom, rows, tol):
+        vals, est = grating._slit_batch(
+            c3s, [beam.velocity for beam in beams], geom, rows, tol)
+        half = geom.half_width
+        for c3, beam, row, val in zip(c3s, beams, rows, vals):
+            single, _ = _slit_integrals(Potential(c3), geom, beam, row, tol)
+            assert np.all(np.abs(val - single) <= 1e-15 * half)
+        assert np.all(est <= tol * half)
+
+    @pytest.mark.parametrize("mass_u", [4.002602, 20.1797])
+    @pytest.mark.parametrize("beta_deg", [0.0, 11.0, 30.0, 60.0])
+    def test_envelope_items(self, mass_u, beta_deg):
+        geom = GratingGeometry(period=100.0, slit_width=66.8, bar_depth=53.0,
+                               wedge_angle=math.radians(beta_deg))
+        items = list(itertools.product((0.0, 1e-3, 0.1, 4.0, 50.0),
+                                       (200.0, 2347.0, 5000.0)))
+        beams = [BeamState(mass_u, v) for _, v in items]
+        self._matches_single([c3 for c3, _ in items], beams, geom,
+                             self._order_rows(beams, geom), 1e-8)
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_velocity_nodes(self, config, request):
+        cfg = load_config(request.getfixturevalue(config))
+        x, _ = np.polynomial.hermite.hermgauss(11)
+        sigma_v = cfg.beam.dv_over_u * cfg.beam.velocity / \
+            (2 * math.sqrt(2 * math.log(2)))
+        beams = [BeamState(cfg.beam.mass_u, v) for v in
+                 cfg.beam.velocity + math.sqrt(2) * sigma_v * x]
+        # every node at the mean-velocity angles, as the average takes them
+        sines = np.sin([diffraction_angle(n, cfg.beam.wavelength,
+                                          cfg.geometry.period)
+                        for n in range(cfg.n_max + 1)])
+        rows = np.array([beam.wavevector * sines for beam in beams])
+        self._matches_single([cfg.potential.c3] * 11, beams, cfg.geometry,
+                             rows, cfg.tolerance)
+
+    def test_one_item_escalates(self, geometry, monkeypatch):
+        # at 200 m/s the pair estimate of C3 = 50 (about 4e-11 s0/2)
+        # fails tol = 5e-12, those of C3 = 0 and 4 pass
+        sizes = []
+        passes = grating._passes
+        monkeypatch.setattr(grating, "_passes", lambda ph, rows, *args: (
+            sizes.append(len(rows)) or passes(ph, rows, *args)))
+        beams = [BeamState(4.002602, 200.0)] * 3
+        rows = self._order_rows(beams, geometry)
+        vals, est = grating._slit_batch([0.0, 50.0, 4.0], [200.0] * 3,
+                                        geometry, rows, 5e-12)
+        assert sizes == [3, 1]
+        monkeypatch.undo()
+        self._matches_single([0.0, 50.0, 4.0], beams, geometry, rows, 5e-12)
+
+    def test_tol_below_floor_stalls(self, geometry):
+        # every estimate is at least 1e-15 s0/2, so no pass meets 1e-16
+        beams = [BeamState(4.002602, v) for v in (1000.0, 2347.0)]
+        rows = self._order_rows(beams, geometry)
+        with pytest.raises(QuadratureError):
+            grating._slit_batch([4.1, 4.1], [beam.velocity for beam in beams],
+                                geometry, rows, 1e-16)
+        with pytest.raises(QuadratureError):
+            _slit_integrals(Potential(4.1), geometry, beams[0], rows[0], 1e-16)
+
+    def test_lost_descent_path_raises(self, geometry, monkeypatch):
+        monkeypatch.setattr(grating, "_NEWTON_STEPS", 1)
+        beams = [BeamState(4.002602, v) for v in (1000.0, 2347.0)]
+        with pytest.raises(QuadratureError):
+            grating._slit_batch([4.1, 4.1], [beam.velocity for beam in beams],
+                                geometry, self._order_rows(beams, geometry),
+                                1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from vdwgrating import (
     synthesize_orders,
     synthesize_scan,
 )
+from vdwgrating import grating
 from vdwgrating.config import load_config
 from vdwgrating.inference import _brent_min, _brent_root, \
     _strict_local_minima
@@ -273,6 +274,21 @@ class TestFitC3:
                                      orders)
         res = fit_c3(observed, geometry, he_beam)
         assert abs(res.c3 - 4.1) < 0.02
+
+    def test_grid_in_one_batched_call(self, geometry, he_beam, monkeypatch):
+        # the 25 grid points share one quadrature call; Brent and the
+        # crossings then evaluate one C3 at a time
+        sizes = []
+        batch = grating._slit_batch
+        monkeypatch.setattr(grating, "_slit_batch", lambda c3s, *args: (
+            sizes.append(len(c3s)) or batch(c3s, *args)))
+        observed = synthesize_orders(Potential(4.1), geometry, he_beam,
+                                     tuple(range(1, 11)), noise_fraction=0.01,
+                                     seed=11)
+        sizes.clear()
+        res = fit_c3(observed, geometry, he_beam)
+        assert sizes[0] == 25 and set(sizes[1:]) == {1}
+        assert res.evaluations == 25 + len(sizes) - 1
 
 
 class TestStrictLocalMinima:
