@@ -240,6 +240,8 @@ def _cmd_fit(args):
     ]
     items += [(f"residual.{n}", f"{r:.8e}")
               for n, r in zip(result.orders, result.residuals)]
+    items += [("diag.fit_degree", str(result.degree)),
+              ("diag.fit_surrogate_error", repr(result.surrogate_error))]
     items += [("data.path", str(args.data))]
     items += _config_items(cfg)
     write_report(args.out, items)

@@ -783,7 +783,7 @@ def _order_thetas(orders, wavelength, period):
 
 def _order_intensity_sets(potentials, geometry, beams, thetas, tol):
     """(r, sigma) of _normalize_with_sigma for |f(theta)|^2 at the detector
-    angles thetas, with its propagated quadrature error, for each item
+    angles thetas, with its propagated quadrature error, one row per item
     (potential_m, beam_m): one item in one _slit_integrals call, several
     in one _slit_batch call."""
     # mirrored orders share |b|; integrate each distinct b once
@@ -792,29 +792,28 @@ def _order_intensity_sets(potentials, geometry, beams, thetas, tol):
     if len(beams) == 1:
         vals, ests = _slit_integrals(potentials[0], geometry, beams[0],
                                      rows[0], tol)
-        vals, ests = [vals], [ests]
+        vals, ests = vals[None, :], ests[None, :]
     else:
         vals, ests = _slit_batch([p.c3 for p in potentials],
                                  [beam.velocity for beam in beams],
                                  geometry, rows, tol)
-    sets = []
-    for vals_u, ests_u, beam in zip(vals, ests, beams):
-        pref = _amplitude_prefactor(thetas, beam.wavelength)
-        amp = np.abs(pref * vals_u[inverse])
-        err = np.abs(pref) * ests_u[inverse]
-        # |amp^2 - true^2| <= 2 amp err + err^2 for |amp - true| <= err
-        sets.append(_normalize_with_sigma(amp**2, 2.0 * amp * err + err**2))
-    return sets
+    pref = np.array([_amplitude_prefactor(thetas, beam.wavelength)
+                     for beam in beams])
+    amp = np.abs(pref * vals[:, inverse])
+    err = np.abs(pref) * ests[:, inverse]
+    # |amp^2 - true^2| <= 2 amp err + err^2 for |amp - true| <= err
+    return _normalize_with_sigma(amp**2, 2.0 * amp * err + err**2)
 
 
 def _normalize_with_sigma(raw, raw_sigma):
-    """Unit-sum intensities r = raw / sum(raw) and their sigma."""
-    total = float(raw.sum())
-    _require(total > 0, "order intensities vanished; nothing to normalize")
+    """Unit-sum rows r = raw / sum(raw) and their sigma."""
+    total = raw.sum(axis=1, keepdims=True)
+    _require(np.all(total > 0),
+             "order intensities vanished; nothing to normalize")
     r = raw / total
     # first-order propagation through the normalization, correlations
     # folded in with absolute values (conservative)
-    return r, (raw_sigma + r * raw_sigma.sum()) / total
+    return r, (raw_sigma + r * raw_sigma.sum(axis=1, keepdims=True)) / total
 
 
 def intensities_for_orders(potential, geometry, beam, orders, tol=1e-8):
@@ -828,9 +827,9 @@ def intensities_for_orders(potential, geometry, beam, orders, tol=1e-8):
     _require(all(b > a for a, b in zip(orders, orders[1:])),
              "orders must be strictly increasing")
     thetas = _order_thetas(orders, beam.wavelength, geometry.period)
-    (r, sigma), = _order_intensity_sets([potential], geometry, [beam],
-                                        thetas, tol)
-    return OrderIntensities(orders, r, sigma)
+    r, sigma = _order_intensity_sets([potential], geometry, [beam], thetas,
+                                     tol)
+    return OrderIntensities(orders, r[0], sigma[0])
 
 
 def order_intensities(potential, geometry, beam, n_max=10, tol=1e-8):
@@ -927,8 +926,9 @@ def velocity_averaged_intensities(potential, geometry, beam, n_max=10,
              for vj in velocities]
     intensity = np.zeros(len(orders))
     sigma = np.zeros(len(orders))
-    for wj, (r, sig) in zip(w, _order_intensity_sets(
-            [potential] * quad_points, geometry, beams, thetas, tol)):
+    rs, sigmas = _order_intensity_sets([potential] * quad_points, geometry,
+                                       beams, thetas, tol)
+    for wj, r, sig in zip(w, rs, sigmas):
         # the weights sum to one, so the average needs no renormalization
         intensity += wj * r
         sigma += wj * sig

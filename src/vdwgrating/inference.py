@@ -3,8 +3,14 @@
 Pipeline: an angular scan is reduced to per-order peak areas by windowed
 Gaussian least squares; areas become relative intensities R_n; a
 one-parameter chi^2 fit against the diffraction model then yields C3
-with a Delta-chi^2 = 1 uncertainty.  Synthesis helpers generate noisy
-data from the same model for closed-loop tests.
+with a Delta-chi^2 = 1 uncertainty.  The fit runs on a Chebyshev
+interpolant of the model in t = C3^(1/6), built from 33 (then, if its
+tail is not below tol * max|R|, 65 and 129) nested Chebyshev points in
+batched quadrature calls; its minimum, grid checks and crossings come
+from the polynomial chi^2(t), and one exact model evaluation at the
+minimum gives the residuals, chi^2 and the surrogate's error there.
+Synthesis helpers generate noisy data from the same model for
+closed-loop tests.
 
 Conventions: angles rad, C3 meV nm^3.  The model intensities are always
 normalized over exactly the set of orders entering the fit, so dropping
@@ -17,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
     BoundarySolutionError,
@@ -223,7 +230,9 @@ class C3FitResult:
     """Best-fit C3 (meV nm^3) with Delta-chi^2 = 1 uncertainty.
 
     residuals holds observed - model at the optimum, ordered like
-    orders; evaluations counts distinct model evaluations.
+    orders; evaluations counts distinct model evaluations.  degree is
+    that of the Chebyshev surrogate the fit ran on, and surrogate_error
+    the largest |exact - surrogate| model intensity at the optimum.
     """
 
     c3: float
@@ -232,6 +241,8 @@ class C3FitResult:
     orders: tuple
     residuals: np.ndarray
     evaluations: int
+    degree: int
+    surrogate_error: float
 
 
 def _strict_local_minima(values):
@@ -244,119 +255,31 @@ def _strict_local_minima(values):
     return hits
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's value, kept so the steps agree
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
+# degrees of the nested Chebyshev ladder in t = C3^(1/6), each twice the last
+_CHEB_LEVELS = (32, 64, 128)
 
 
-def _brent_min(f, a, b, xatol):
-    """(x, f(x)) at a minimum of f on [a, b] by Brent's bounded search.
-
-    Golden-section steps with parabolic interpolation through the three
-    best points x, w, v (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973), as scipy's _minimize_scalar_bounded runs it,
-    500 evaluations at most: both visit the same points.
-    """
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    rat = e = 0.0
-    calls = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a) and calls < 500:
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                rat = p / q
-                if x + rat - a < tol2 or b - (x + rat) < tol2:
-                    rat = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        u = x - step if rat < 0 else x + step
-        fu = f(u)
-        calls += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return x, fx
+def _cosines(n, rows, cols):
+    """cos(pi j k / n) for j < rows, k < cols; j k is reduced mod 2n first,
+    so every entry is accurate to rounding."""
+    jk = np.outer(np.arange(rows), np.arange(cols)) % (2 * n)
+    return np.cos(np.pi / n * jk)
 
 
-def _brent_root(f, a, b, xtol, maxiter=100):
-    """Root of f in [a, b], where f changes sign, by Brent's method.
+def _cheb_coeffs(values):
+    """Chebyshev coefficients of the degree-n interpolant through the rows
+    of values at x_j = cos(pi j / n), j = 0..n: the type-I cosine transform
+    as one matrix product."""
+    n = len(values) - 1
+    ends = np.ones((n + 1, 1))
+    ends[[0, n]] = 0.5
+    return (2.0 / n) * ends * (_cosines(n, n + 1, n + 1) @ (ends * values))
 
-    Inverse quadratic or secant steps, bisection when they are too slow,
-    as scipy's brentq runs it with its defaults (rtol = 4 eps,
-    maxiter = 100): both visit the same points.  Raises FitFailureError
-    when the bracket does not change sign or maxiter steps do not
-    converge.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise FitFailureError(f"no sign change of the root function on "
-                              f"[{a:.6g}, {b:.6g}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic through pre, cur, blk
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-        if stry is not None and \
-                2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise FitFailureError(f"root search on [{a:.6g}, {b:.6g}] did not "
-                          f"converge in {maxiter} steps")
+
+def _cheb_values(coeffs, x):
+    """The Chebyshev series with coefficient rows coeffs at x in [-1, 1]."""
+    theta = np.arccos(x)
+    return np.cos(np.multiply.outer(theta, np.arange(len(coeffs)))) @ coeffs
 
 
 def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
@@ -365,19 +288,35 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
 
     chi^2(C3) = sum_n w_n (R_n^obs - R_n^model(C3))^2 with w_n = 1/sigma_n^2
     when the observations carry uncertainties, else w_n = 1.  The model
-    is normalized over exactly the observed orders.  A coarse grid over
-    bounds, evaluated in one batched slit-quadrature call, guards against
-    multiple minima and boundary solutions, then bounded Brent refinement
-    (golden section with parabolic steps, Brent 1973, step for step as
-    scipy's minimize_scalar "bounded") localizes the minimum to xatol
-    between the grid neighbours of the grid minimum.  The Delta-chi^2
-    crossings are found by Brent's root finder, step for step as scipy's
-    brentq.  Refinement and crossings evaluate one C3 at a time.
+    is normalized over exactly the observed orders.
+
+    The fit runs on a Chebyshev interpolant of the model R_n in
+    t = C3^(1/6) over bounds, one per order.  R_n has a branch point at
+    C3 = 0 (tau - 1 goes like C3^(1/3) at a flat wall and like C3^(1/2)
+    at a tapered one), and both powers are polynomials in t, so the
+    interpolant converges geometrically in t where it converges like 1/k
+    in C3 (Trefethen, Approximation Theory and Approximation Practice,
+    SIAM 2013, ch. 8 and 18).  The model is evaluated at 33 second-kind
+    Chebyshev points in one batched slit-quadrature call.  While the
+    largest of the last three coefficients of any order exceeds
+    tol * max|R|, the ladder goes on to 65 and then 129 points, each level
+    evaluating only its new points, in one more batched call.
+
+    chi^2(t) is then a polynomial of twice the interpolant's degree, and
+    everything else comes from it with no further model evaluation: the
+    chi^2 curve on grid_points equally spaced C3 in bounds, which guards
+    against multiple minima and boundary solutions; the minimum between
+    the grid neighbours of the grid minimum, among the real roots of
+    dchi^2/dt there; and each Delta-chi^2 crossing, by bisection on the
+    first stretch between roots of dchi^2/dt that reaches the target.
+    One exact model evaluation at the minimum gives the reported
+    residuals and chi^2; its largest difference from the surrogate is
+    reported as surrogate_error.
 
     The one-sigma uncertainty is half the width of the
     chi^2 = chi2_min + Delta interval, Delta = 1 for weighted fits and
     chi2_min / dof otherwise (the usual rescaling when sigma is
-    unknown); it is floored at xatol, the optimizer's resolution.
+    unknown); it is floored at xatol.
 
     The model is monochromatic: beam.dv_over_u is ignored.  Data made
     with a velocity spread are fitted with a bias; on orders 1..10
@@ -388,12 +327,12 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     Raises
     ------
     FitFailureError
-        A Delta-chi^2 crossing did not converge.
+        The interpolant's tail is still above tol * max|R| at 129 points.
     MultimodalObjectiveError
-        More than one strict local minimum on the coarse grid.
+        More than one strict local minimum on the grid.
     BoundarySolutionError
-        Grid minimum at an endpoint of bounds, or the refined minimum
-        within xatol of one.
+        Grid minimum at an endpoint of bounds, or the minimum within
+        xatol of one.
     InvalidInputError
         Fewer than three observed orders, or malformed bounds.
     """
@@ -412,25 +351,48 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
         weights = np.ones_like(robs)
         weighted = False
 
-    cache = {}
+    # x in [-1, 1] maps linearly onto t = C3^(1/6) in bounds
+    t_mid = 0.5 * (hi ** (1 / 6) + lo ** (1 / 6))
+    t_half = 0.5 * (hi ** (1 / 6) - lo ** (1 / 6))
 
-    def model(c3):
-        if c3 not in cache:
-            cache[c3] = intensities_for_orders(
-                Potential(c3), geometry, beam, observed.orders, tol).intensity
-        return cache[c3]
+    def c3_at(x):
+        return (t_mid + t_half * x) ** 6
 
-    def chi2(c3):
-        r = robs - model(float(c3))
-        return float(np.sum(weights * r * r))
+    thetas = _order_thetas(observed.orders, beam.wavelength, geometry.period)
+
+    def model(xs):
+        potentials = [Potential(float(c3)) for c3 in c3_at(xs)]
+        return _order_intensity_sets(potentials, geometry,
+                                     [beam] * len(potentials), thetas, tol)[0]
+
+    values = None
+    for n in _CHEB_LEVELS:
+        nodes = np.cos(np.pi / n * np.arange(n + 1))
+        if values is None:
+            values = model(nodes)
+        else:  # the last level's points are this level's even ones
+            nested = np.empty((n + 1, values.shape[1]))
+            nested[::2] = values
+            nested[1::2] = model(nodes[1::2])
+            values = nested
+        coeffs = _cheb_coeffs(values)
+        if np.abs(coeffs[-3:]).max() <= tol * np.abs(values).max():
+            break
+    else:
+        raise FitFailureError(
+            f"model interpolant in C3^(1/6) on [{lo:.4g}, {hi:.4g}] did not "
+            f"converge at {n + 1} Chebyshev points")
+
+    # chi^2 has degree 2n: take it from its values at the 2n + 1 points
+    r2 = robs - _cosines(2 * n, 2 * n + 1, n + 1) @ coeffs
+    chi2_coeffs = _cheb_coeffs((weights * r2 * r2).sum(axis=1)[:, None])[:, 0]
+
+    def chi2(x):
+        return _cheb_values(chi2_coeffs, x)
 
     grid = np.linspace(lo, hi, int(grid_points))
-    thetas = _order_thetas(observed.orders, beam.wavelength, geometry.period)
-    potentials = [Potential(float(c3)) for c3 in grid]
-    for p, (r, _) in zip(potentials, _order_intensity_sets(
-            potentials, geometry, [beam] * grid.size, thetas, tol)):
-        cache[p.c3] = r
-    curve = [chi2(x) for x in grid]
+    grid_x = np.clip((grid ** (1 / 6) - t_mid) / t_half, -1.0, 1.0)
+    curve = chi2(grid_x)
     minima = _strict_local_minima(curve)
     i0 = int(np.argmin(curve))
     if len(minima) > 1:
@@ -444,8 +406,15 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
             f"chi^2 minimum at the {'lower' if i0 == 0 else 'upper'} "
             f"search bound {grid[i0]:.4g}; widen bounds")
 
-    c3_hat, chi2_min = _brent_min(chi2, float(grid[i0 - 1]),
-                                  float(grid[i0 + 1]), 0.5 * xatol)
+    # real roots in (-1, 1), ascending as chebroots sorts them
+    crit = cheb.chebroots(cheb.chebder(chi2_coeffs))
+    crit = crit.real[(crit.imag == 0) & (np.abs(crit.real) < 1)]
+    xa, xb = grid_x[i0 - 1], grid_x[i0 + 1]
+    cands = np.concatenate(([xa, xb], crit[(crit > xa) & (crit < xb)]))
+    cand_chi2 = chi2(cands)
+    x_hat = float(cands[np.argmin(cand_chi2)])
+    chi2_min = float(cand_chi2.min())
+    c3_hat = float(c3_at(x_hat))
     if min(c3_hat - lo, hi - c3_hat) < xatol:
         raise BoundarySolutionError(
             f"refined minimum {c3_hat:.4g} sits within xatol of a search "
@@ -455,29 +424,33 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     delta = 1.0 if weighted else max(chi2_min, 1e-30) / dof
     target = chi2_min + delta
 
-    def crossing(direction):
-        step = max(xatol, 0.01 * max(c3_hat, 1.0))
-        x_prev, x_cur = c3_hat, c3_hat
-        for _ in range(60):
-            x_prev, x_cur = x_cur, x_cur + direction * step
-            x_cur = min(max(x_cur, lo), hi)
-            if chi2(x_cur) >= target:
-                root = _brent_root(
-                    lambda x: chi2(x) - target, min(x_prev, x_cur),
-                    max(x_prev, x_cur), xtol=xatol * 1e-2)
-                return abs(root - c3_hat)
-            if x_cur in (lo, hi):
-                return abs(x_cur - c3_hat)
-            step *= 2.0
-        return abs(x_cur - c3_hat)
+    def half_width(side):
+        # chi^2 is monotone between its critical points, so the first
+        # stretch that ends at or above the target holds the crossing
+        beyond = crit[(crit - x_hat) * side > 0][::side]
+        ends = np.concatenate(([x_hat], beyond, [side]))
+        above = np.flatnonzero(chi2(ends) >= target)
+        if not above.size:
+            return abs((hi if side > 0 else lo) - c3_hat)
+        a, b = ends[max(above[0] - 1, 0)], ends[above[0]]
+        while abs(b - a) > 1e-13:
+            mid = 0.5 * (a + b)
+            if chi2(mid) >= target:
+                b = mid
+            else:
+                a = mid
+        return abs(c3_at(b) - c3_hat)
 
-    half_widths = [crossing(+1.0), crossing(-1.0)]
-    uncertainty = max(0.5 * (half_widths[0] + half_widths[1]), xatol)
-    residuals = robs - model(c3_hat)
+    uncertainty = max(0.5 * (half_width(1) + half_width(-1)), xatol)
+    exact = intensities_for_orders(Potential(c3_hat), geometry, beam,
+                                   observed.orders, tol).intensity
+    residuals = robs - exact
     return C3FitResult(
-        c3=c3_hat, uncertainty=float(uncertainty), chi2=chi2_min,
-        orders=observed.orders, residuals=residuals,
-        evaluations=len(cache))
+        c3=c3_hat, uncertainty=float(uncertainty),
+        chi2=float(np.sum(weights * residuals**2)), orders=observed.orders,
+        residuals=residuals, evaluations=len(values) + 1, degree=n,
+        surrogate_error=float(np.abs(exact - _cheb_values(coeffs, x_hat))
+                              .max()))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ class TestFit:
         assert orders == [str(n) for n in range(1, 7)]
         for n in orders:
             float(rep[f"residual.{n}"])
+        assert rep["diag.fit_degree"] == "32"
+        assert 0 <= float(rep["diag.fit_surrogate_error"]) <= 1e-8
         # the embedded config must reproduce the fit exactly
         cfg2 = tmp_path / "replay.cfg"
         cfg2.write_text("\n".join(
@@ -182,15 +184,13 @@ class TestFit:
         assert ERROR_LINE.search(err)
         assert "numerical: BoundarySolutionError" in err
 
-    def test_stalled_crossing_is_numerical_failure(self, fast_cfg, tmp_path,
-                                                   capsys, monkeypatch):
+    def test_unconverged_surrogate_is_numerical_failure(
+            self, fast_cfg, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.csv"
         assert main(["synth", "--config", str(fast_cfg), "--noise", "0.01",
                      "--out", str(data)]) == 0
-        root = inference._brent_root
-        monkeypatch.setattr(inference, "_brent_root",
-                            lambda f, a, b, xtol: root(f, a, b, xtol,
-                                                       maxiter=1))
+        # a degree-4 interpolant cannot reach tol * max|R|
+        monkeypatch.setattr(inference, "_CHEB_LEVELS", (4,))
         code = main(["fit", "--config", str(fast_cfg), "--data", str(data),
                      "--out", str(tmp_path / "fit.txt")])
         assert code == 3
@@ -201,14 +201,15 @@ class TestFit:
 
 
 class TestImportPath:
-    """scipy, and numpy.ma (about 16 ms cold), stay off the command
-    line's import path."""
+    """scipy, numpy.ma (about 16 ms cold) and numpy.fft stay off the
+    command line's import path."""
 
     def _unwanted_modules_after(self, code):
         package = os.path.dirname(os.path.abspath(vdwgrating.__file__))
         env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
         code += ("; import sys; print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
+                 "if m.split('.')[0] == 'scipy' "
+                 "or m in ('numpy.ma', 'numpy.fft')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)

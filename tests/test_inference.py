@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from vdwgrating import (
     GaussianPeak,
     InvalidInputError,
     MissingPeakError,
+    MultimodalObjectiveError,
     Potential,
     diffraction_angle,
     fit_c3,
@@ -21,10 +24,9 @@ from vdwgrating import (
     synthesize_orders,
     synthesize_scan,
 )
-from vdwgrating import grating
+from vdwgrating import grating, inference
 from vdwgrating.config import load_config
-from vdwgrating.inference import _brent_min, _brent_root, \
-    _strict_local_minima
+from vdwgrating.inference import _strict_local_minima
 
 
 def _gauss(x, a, c, s, b):
@@ -121,117 +123,6 @@ class TestNormalizeOrders:
             normalize_orders([(1, p), (1, p)])
 
 
-class _Counted:
-    """f with a call counter."""
-
-    def __init__(self, f):
-        self.f, self.calls = f, 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.f(x)
-
-
-def _chi2_of_config(path):
-    """chi^2(C3) of a shipped config's synth orders, 1% noise."""
-    cfg = load_config(path)
-    orders = tuple(range(1, cfg.n_max + 1))
-    obs = synthesize_orders(cfg.potential, cfg.geometry, cfg.beam, orders,
-                            noise_fraction=0.01, seed=cfg.seed,
-                            tol=cfg.tolerance)
-    cache = {}
-
-    def chi2(c3):
-        if c3 not in cache:
-            model = intensities_for_orders(Potential(c3), cfg.geometry,
-                                           cfg.beam, orders, cfg.tolerance)
-            r = (obs.intensity - model.intensity) / obs.sigma
-            cache[c3] = float(np.sum(r * r))
-        return cache[c3]
-
-    return cfg.potential.c3, chi2
-
-
-class TestBrentPorts:
-    """The pure-Python Brent helpers repeat scipy's steps bit for bit."""
-
-    def _same_min(self, f, a, b, xatol):
-        from scipy.optimize import minimize_scalar
-        ours, theirs = _Counted(f), _Counted(f)
-        x, fx = _brent_min(ours, a, b, xatol)
-        res = minimize_scalar(theirs, bounds=(a, b), method="bounded",
-                              options={"xatol": xatol})
-        assert (x, fx) == (res.x, res.fun)
-        assert ours.calls == theirs.calls == res.nfev
-        return x
-
-    def _same_root(self, f, a, b, xtol):
-        from scipy.optimize import brentq
-        ours, theirs = _Counted(f), _Counted(f)
-        x = _brent_root(ours, a, b, xtol)
-        root, info = brentq(theirs, a, b, xtol=xtol, full_output=True)
-        assert x == root
-        assert f(x) == f(root)
-        assert ours.calls == theirs.calls == info.function_calls
-        return x
-
-    @pytest.mark.parametrize("xatol", [1e-2, 1e-5, 1e-10])
-    def test_min_quadratic(self, xatol):
-        x = self._same_min(lambda x: (x - 1.234) ** 2 + 0.5, 0.0, 3.0,
-                           xatol)
-        assert abs(x - 1.234) < xatol
-
-    def test_min_flat_quartic(self):
-        self._same_min(lambda x: (x - 0.3) ** 4, -1.0, 2.0, 1e-6)
-
-    @pytest.mark.parametrize("xtol", [1e-3, 1e-12])
-    def test_root_cubic(self, xtol):
-        self._same_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol)
-
-    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 5.0)])
-    def test_root_at_bracket_end(self, a, b):
-        assert self._same_root(lambda x: x - 2.0, a, b, 1e-8) == 2.0
-
-    def test_random_sweep(self):
-        # seeded random functions reach step-rule branches that the
-        # cases above may not: steep/flat roots, plateaus with ties
-        rng = np.random.default_rng(2026)
-        for i in range(400):
-            c = rng.standard_normal(4)
-            a, b = c[0] - rng.uniform(0.1, 5), c[0] + rng.uniform(0.1, 5)
-            s, q = rng.uniform(0.2, 30), float(10 ** rng.integers(1, 4))
-            if i % 2:
-                self._same_min(lambda x: round(q * (x - c[0]) ** 2) / q, a, b,
-                               10.0 ** rng.uniform(-10, -1))
-            else:
-                self._same_min(lambda x: (x - c[0]) ** 2 + 0.3 * c[1]
-                               * math.sin(s * x), a, b, 1e-8)
-
-            def f(x):
-                return math.tanh(s * (x - c[0])) \
-                    + c[1] * (x - c[0]) ** 3 + 0.01 * c[2]
-            if (f(a) < 0) != (f(b) < 0):
-                self._same_root(f, a, b, 1e-12)
-
-    def test_no_convergence_is_fit_failure(self):
-        with pytest.raises(FitFailureError):
-            _brent_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12,
-                        maxiter=1)
-
-    def test_no_sign_change_is_fit_failure(self):
-        with pytest.raises(FitFailureError):
-            _brent_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-8)
-
-    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
-    def test_chi2_of_shipped_config(self, config, request):
-        c3, chi2 = _chi2_of_config(request.getfixturevalue(config))
-        # fit_c3's refinement and Delta-chi^2 = 1 crossings on this curve
-        c3_hat = self._same_min(chi2, 0.5 * c3, 1.5 * c3, 5e-4)
-        target = chi2(c3_hat) + 1.0
-        for a, b in [(c3_hat, c3_hat + 1.0), (c3_hat - 1.0, c3_hat)]:
-            self._same_root(lambda x: chi2(x) - target, a, b, 1e-5)
-
-
 class TestFitC3:
     @pytest.mark.parametrize("true_c3", [0.5, 2.0, 10.0])
     def test_noiseless_roundtrip(self, geometry, he_beam, true_c3):
@@ -275,20 +166,127 @@ class TestFitC3:
         res = fit_c3(observed, geometry, he_beam)
         assert abs(res.c3 - 4.1) < 0.02
 
-    def test_grid_in_one_batched_call(self, geometry, he_beam, monkeypatch):
-        # the 25 grid points share one quadrature call; Brent and the
-        # crossings then evaluate one C3 at a time
+    def test_grid_in_one_batched_call(self, he_config_path, ne_config_path,
+                                      monkeypatch):
+        # on both shipped configs, the 33 Chebyshev points share one
+        # quadrature call, and the exact model at the minimum is the fit's
+        # one _slit_integrals call (a batch of one inside)
+        batch, single = grating._slit_batch, grating._slit_integrals
+        for path in (he_config_path, ne_config_path):
+            cfg, geometry, observed = _shipped_orders(path)
+            sizes, singles = [], []
+            monkeypatch.setattr(grating, "_slit_batch", lambda c3s, *args: (
+                sizes.append(len(c3s)) or batch(c3s, *args)))
+            monkeypatch.setattr(grating, "_slit_integrals", lambda *args: (
+                singles.append(args) or single(*args)))
+            res = fit_c3(observed, geometry, cfg.beam, tol=cfg.tolerance)
+            monkeypatch.undo()
+            assert sizes == [33, 1] and len(singles) == 1
+            assert res.evaluations == 34 and res.degree == 32
+
+    @pytest.mark.parametrize("beta_deg", [0.0, 15.0, 30.0])
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_matches_exact_minimum(self, config, beta_deg, request):
+        from scipy.optimize import brentq, minimize_scalar
+        cfg, geometry, observed = _shipped_orders(
+            request.getfixturevalue(config), beta_deg)
+        res = fit_c3(observed, geometry, cfg.beam, tol=cfg.tolerance)
+
+        def chi2(c3):
+            model = intensities_for_orders(Potential(c3), geometry, cfg.beam,
+                                           observed.orders, cfg.tolerance)
+            r = (observed.intensity - model.intensity) / observed.sigma
+            return float(np.sum(r * r))
+
+        c3 = cfg.potential.c3
+        best = minimize_scalar(chi2, bounds=(0.8 * c3, 1.2 * c3),
+                               method="bounded", options={"xatol": 1e-10})
+        assert abs(res.c3 - best.x) < 1e-6
+        target = best.fun + 1.0
+        upper = brentq(lambda x: chi2(x) - target, best.x, best.x + 1.0)
+        lower = brentq(lambda x: chi2(x) - target, best.x - 1.0, best.x)
+        assert res.uncertainty == pytest.approx(0.5 * (upper - lower),
+                                                rel=1e-3)
+        assert res.surrogate_error <= cfg.tolerance
+
+    def test_grid_checks_match_exact_grid(self, geometry, he_beam, ne_beam):
+        # the surrogate's chi^2 on the 25-point C3 grid raises exactly where
+        # the exact model's does, over the draws and bounds of the tests
+        # above plus narrow bounds and the flat wall, where few orders give
+        # several minima
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for beam, beta_deg, bounds, orders in itertools.product(
+                (he_beam, ne_beam), (0.0, 11.0),
+                ((0.0, 20.0), (12.0, 20.0), (3.5, 4.5)),
+                ((1, 2, 3), (1, 2, 4, 6, 8), tuple(range(1, 11)))):
+            geom = dataclasses.replace(geometry,
+                                       wedge_angle=math.radians(beta_deg))
+            observed = synthesize_orders(
+                Potential(float(rng.choice([0.5, 4.1, 10.0]))), geom, beam,
+                orders, noise_fraction=0.01, seed=int(rng.integers(100)))
+            grid = np.linspace(*bounds, 25)
+            model = np.array([intensities_for_orders(
+                Potential(c3), geom, beam, orders).intensity for c3 in grid])
+            curve = np.sum(((observed.intensity - model) / observed.sigma)
+                           ** 2, axis=1)
+            expected = None
+            if len(_strict_local_minima(curve)) > 1:
+                expected = MultimodalObjectiveError
+            elif int(np.argmin(curve)) in (0, grid.size - 1):
+                expected = BoundarySolutionError
+            try:
+                fit_c3(observed, geom, beam, bounds=bounds)
+                raised = None
+            except (MultimodalObjectiveError, BoundarySolutionError) as exc:
+                raised = type(exc)
+            assert raised is expected, (beam.mass_u, beta_deg, bounds, orders)
+            seen.add(expected)
+        assert seen == {None, MultimodalObjectiveError, BoundarySolutionError}
+
+    def test_nested_levels_reuse_points(self, geometry, he_beam,
+                                        monkeypatch):
+        # a ladder started at degree 8 evaluates only the new points of
+        # each level and lands on the same 33 points as the default one
+        observed = synthesize_orders(Potential(4.1), geometry, he_beam,
+                                     tuple(range(1, 11)), noise_fraction=0.01,
+                                     seed=11)
+        direct = fit_c3(observed, geometry, he_beam)
         sizes = []
         batch = grating._slit_batch
         monkeypatch.setattr(grating, "_slit_batch", lambda c3s, *args: (
             sizes.append(len(c3s)) or batch(c3s, *args)))
+        monkeypatch.setattr(inference, "_CHEB_LEVELS", (8, 16, 32))
+        res = fit_c3(observed, geometry, he_beam)
+        assert sizes == [9, 8, 16, 1]
+        assert (res.degree, res.evaluations) == (32, 34)
+        assert abs(res.c3 - direct.c3) < 1e-9
+        assert res.uncertainty == pytest.approx(direct.uncertainty, rel=1e-9)
+
+    def test_unconverged_surrogate_is_fit_failure(self, geometry, he_beam,
+                                                  monkeypatch):
+        # a degree-4 interpolant cannot reach tol * max|R|
+        monkeypatch.setattr(inference, "_CHEB_LEVELS", (4,))
         observed = synthesize_orders(Potential(4.1), geometry, he_beam,
                                      tuple(range(1, 11)), noise_fraction=0.01,
                                      seed=11)
-        sizes.clear()
-        res = fit_c3(observed, geometry, he_beam)
-        assert sizes[0] == 25 and set(sizes[1:]) == {1}
-        assert res.evaluations == 25 + len(sizes) - 1
+        with pytest.raises(FitFailureError, match="did not converge"):
+            fit_c3(observed, geometry, he_beam)
+
+
+def _shipped_orders(path, beta_deg=None):
+    """A shipped config, its geometry (with beta_deg if given) and its synth
+    orders 1..n_max at 1% noise."""
+    cfg = load_config(path)
+    geometry = cfg.geometry
+    if beta_deg is not None:
+        geometry = dataclasses.replace(geometry,
+                                       wedge_angle=math.radians(beta_deg))
+    observed = synthesize_orders(cfg.potential, geometry, cfg.beam,
+                                 tuple(range(1, cfg.n_max + 1)),
+                                 noise_fraction=0.01, seed=cfg.seed,
+                                 tol=cfg.tolerance)
+    return cfg, geometry, observed
 
 
 class TestStrictLocalMinima:
