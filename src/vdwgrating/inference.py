@@ -255,6 +255,60 @@ def _strict_local_minima(values):
     return hits
 
 
+_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
+
+
+def _brent_root(f, a, b, xtol, maxiter=100):
+    """Root of f in [a, b], where f changes sign, by Brent's method.
+
+    Inverse quadratic or secant steps, bisection when they are too slow,
+    as scipy's brentq runs it with its defaults (rtol = 4 eps,
+    maxiter = 100): both visit the same points.  Raises FitFailureError
+    when the bracket does not change sign or maxiter steps do not
+    converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise FitFailureError(f"no sign change of the root function on "
+                              f"[{a:.6g}, {b:.6g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through pre, cur, blk
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+        if stry is not None and \
+                2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise FitFailureError(f"root search on [{a:.6g}, {b:.6g}] did not "
+                          f"converge in {maxiter} steps")
+
+
 # degrees of the nested Chebyshev ladder in t = C3^(1/6), each twice the last
 _CHEB_LEVELS = (32, 64, 128)
 
@@ -307,8 +361,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     chi^2 curve on grid_points equally spaced C3 in bounds, which guards
     against multiple minima and boundary solutions; the minimum between
     the grid neighbours of the grid minimum, among the real roots of
-    dchi^2/dt there; and each Delta-chi^2 crossing, by bisection on the
-    first stretch between roots of dchi^2/dt that reaches the target.
+    dchi^2/dt there; and each Delta-chi^2 crossing, by Brent's method on
+    the first stretch between roots of dchi^2/dt that reaches the target.
     One exact model evaluation at the minimum gives the reported
     residuals and chi^2; its largest difference from the surrogate is
     reported as surrogate_error.
@@ -327,7 +381,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     Raises
     ------
     FitFailureError
-        The interpolant's tail is still above tol * max|R| at 129 points.
+        The interpolant's tail is still above tol * max|R| at 129 points,
+        or a Delta-chi^2 crossing search does not converge.
     MultimodalObjectiveError
         More than one strict local minimum on the grid.
     BoundarySolutionError
@@ -427,19 +482,20 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     def half_width(side):
         # chi^2 is monotone between its critical points, so the first
         # stretch that ends at or above the target holds the crossing
+        # (one scalar evaluation per point, so that the root search sees
+        # the same signs at the stretch's ends)
+        def excess(x):
+            return float(chi2(x)) - target
+
         beyond = crit[(crit - x_hat) * side > 0][::side]
         ends = np.concatenate(([x_hat], beyond, [side]))
-        above = np.flatnonzero(chi2(ends) >= target)
-        if not above.size:
+        first = next((i for i, x in enumerate(ends) if excess(x) >= 0), None)
+        if first is None:
             return abs((hi if side > 0 else lo) - c3_hat)
-        a, b = ends[max(above[0] - 1, 0)], ends[above[0]]
-        while abs(b - a) > 1e-13:
-            mid = 0.5 * (a + b)
-            if chi2(mid) >= target:
-                b = mid
-            else:
-                a = mid
-        return abs(c3_at(b) - c3_hat)
+        if first == 0:  # the target is within rounding of chi2_min
+            return 0.0
+        a, b = sorted((ends[first - 1], ends[first]))
+        return abs(c3_at(_brent_root(excess, a, b, 1e-13)) - c3_hat)
 
     uncertainty = max(0.5 * (half_width(1) + half_width(-1)), xatol)
     exact = intensities_for_orders(Potential(c3_hat), geometry, beam,

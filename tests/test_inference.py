@@ -26,7 +26,7 @@ from vdwgrating import (
 )
 from vdwgrating import grating, inference
 from vdwgrating.config import load_config
-from vdwgrating.inference import _strict_local_minima
+from vdwgrating.inference import _brent_root, _strict_local_minima
 
 
 def _gauss(x, a, c, s, b):
@@ -121,6 +121,92 @@ class TestNormalizeOrders:
         p = GaussianPeak(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             normalize_orders([(1, p), (1, p)])
+
+
+class _Counted:
+    """f with a call counter."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def _chi2_of_config(path):
+    """chi^2(C3) of a shipped config's synth orders, 1% noise."""
+    cfg, geometry, obs = _shipped_orders(path)
+    cache = {}
+
+    def chi2(c3):
+        if c3 not in cache:
+            model = intensities_for_orders(Potential(c3), geometry, cfg.beam,
+                                           obs.orders, cfg.tolerance)
+            r = (obs.intensity - model.intensity) / obs.sigma
+            cache[c3] = float(np.sum(r * r))
+        return cache[c3]
+
+    return cfg.potential.c3, chi2
+
+
+class TestBrentPorts:
+    """The pure-Python Brent root finder repeats scipy's brentq steps bit
+    for bit."""
+
+    def _same_root(self, f, a, b, xtol):
+        from scipy.optimize import brentq
+        ours, theirs = _Counted(f), _Counted(f)
+        x = _brent_root(ours, a, b, xtol)
+        root, info = brentq(theirs, a, b, xtol=xtol, full_output=True)
+        assert x == root
+        assert f(x) == f(root)
+        assert ours.calls == theirs.calls == info.function_calls
+        return x
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-12])
+    def test_root_cubic(self, xtol):
+        self._same_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, xtol)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 5.0)])
+    def test_root_at_bracket_end(self, a, b):
+        assert self._same_root(lambda x: x - 2.0, a, b, 1e-8) == 2.0
+
+    def test_random_sweep(self):
+        # seeded random functions reach step-rule branches that the
+        # cases above may not: steep and flat roots
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            c = rng.standard_normal(4)
+            a, b = c[0] - rng.uniform(0.1, 5), c[0] + rng.uniform(0.1, 5)
+            s = rng.uniform(0.2, 30)
+
+            def f(x):
+                return math.tanh(s * (x - c[0])) \
+                    + c[1] * (x - c[0]) ** 3 + 0.01 * c[2]
+            if (f(a) < 0) != (f(b) < 0):
+                self._same_root(f, a, b, 1e-12)
+
+    def test_no_convergence_is_fit_failure(self):
+        with pytest.raises(FitFailureError):
+            _brent_root(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12,
+                        maxiter=1)
+
+    def test_no_sign_change_is_fit_failure(self):
+        with pytest.raises(FitFailureError):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-8)
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_chi2_of_shipped_config(self, config, request):
+        from scipy.optimize import minimize_scalar
+        c3, chi2 = _chi2_of_config(request.getfixturevalue(config))
+        # Delta-chi^2 = 1 crossings on the exact curve
+        c3_hat = minimize_scalar(chi2, bounds=(0.5 * c3, 1.5 * c3),
+                                 method="bounded",
+                                 options={"xatol": 5e-4}).x
+        target = chi2(c3_hat) + 1.0
+        for a, b in [(c3_hat, c3_hat + 1.0), (c3_hat - 1.0, c3_hat)]:
+            self._same_root(lambda x: chi2(x) - target, a, b, 1e-5)
 
 
 class TestFitC3:
