@@ -60,7 +60,7 @@ def main():
             frames.append(frame)
         counts["cos_entries"] += bs.size * nodes.size
         if np.isrealobj(nodes):
-            pair = np.ndim(core) == 2 and core.shape[1] == 2
+            pair = core.shape[1] == 2
             counts["items" if pair else "escalations"] += 1
             counts["outer_nodes"] += nodes.size if pair else 0
         return cos_dot(bs, nodes, core, half)

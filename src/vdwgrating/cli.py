@@ -102,11 +102,12 @@ def _build_parser():
     mode.add_argument("--scan", action="store_true",
                       help="write an angular scan")
     p_sim.add_argument("--points", type=int, default=4001,
-                       help="scan grid size (default 4001)")
+                       help="scan grid size, 16 to 10^6 (default 4001)")
     p_sim.add_argument("--n-slits", type=int, default=100,
                        help="coherently illuminated slits (default 100)")
     p_sim.add_argument("--quad-points", type=int, default=11,
-                       help="velocity-average nodes, odd (default 11)")
+                       help="velocity-average nodes, odd, at most 101 "
+                            "(default 11)")
 
     p_syn = sub.add_parser(
         "synth", help="noisy synthetic observables",
@@ -125,7 +126,7 @@ def _build_parser():
     p_syn.add_argument("--min-order", type=int, default=1,
                        help="lowest synthesized order (default 1)")
     p_syn.add_argument("--points", type=int, default=4001,
-                       help="scan grid size (default 4001)")
+                       help="scan grid size, 16 to 10^6 (default 4001)")
     p_syn.add_argument("--n-slits", type=int, default=100,
                        help="coherently illuminated slits (default 100)")
 
@@ -169,9 +170,14 @@ def _config_items(cfg):
     return [("config." + k, v) for k, v in cfg.resolved_items()]
 
 
+# a scan holds a few float arrays of this length; the default is 4001
+_MAX_SCAN_POINTS = 10**6
+
+
 def _scan_grid(cfg, points):
-    if points < 16:
-        raise InvalidInputError("need at least 16 scan points")
+    if not 16 <= points <= _MAX_SCAN_POINTS:
+        raise InvalidInputError(
+            f"need 16 to {_MAX_SCAN_POINTS} scan points, got {points}")
     s_max = (cfg.n_max + 0.5) * cfg.beam.wavelength / cfg.geometry.period
     theta_max = math.asin(min(s_max, 1.0))
     return np.linspace(-theta_max, theta_max, points)

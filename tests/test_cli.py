@@ -66,6 +66,32 @@ class TestSimulate:
         np.testing.assert_allclose(got.intensity, expect.intensity,
                                    rtol=1e-12)
 
+    def test_node_count_bounded(self, he_config_path, tmp_path, capsys,
+                                monkeypatch):
+        # rejected before hermgauss builds its quad_points-square matrix
+        def boom(n):
+            raise AssertionError("hermgauss ran")
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
+        assert main(["simulate", "--config", str(he_config_path),
+                     "--quad-points", "100001",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "input: InvalidInputError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    @pytest.mark.parametrize("points", ["15", "1000001", "1000000000"])
+    def test_scan_points_bounded(self, command, points, fast_cfg, tmp_path,
+                                 capsys, monkeypatch):
+        # rejected before np.linspace builds the grid
+        def boom(*args, **kwargs):
+            raise AssertionError("np.linspace ran")
+        monkeypatch.setattr(np, "linspace", boom)
+        noise = ["--noise", "0.01"] if command == "synth" else []
+        assert main([command, "--config", str(fast_cfg), "--scan", *noise,
+                     "--points", points,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "input: InvalidInputError" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_scan_output(self, fast_cfg, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["simulate", "--config", str(fast_cfg), "--scan",

@@ -349,12 +349,15 @@ class TestSlitQuadrature:
                                    bar_depth=53.0,
                                    wedge_angle=math.radians(beta_deg))
             beam = BeamState(mass_u=mass_u, velocity=velocity)
-            ph = grating._WallPhase(Potential(c3), geom, beam)
-            s = grating._split_point(ph, geom.half_width,
-                                     2 * math.pi * order / geom.period)
-            w = float(ph.phi(s)) + 1j * p
+            # one item: A, s and b_max are one-row columns
+            ph = grating._WallPhase(*grating._phase_constants(
+                np.array([[c3]]), geom, beam.velocity))
+            s = grating._split_point(
+                ph, geom.half_width,
+                np.array([[2 * math.pi * order / geom.period]]))
+            w = ph.phi(s) + 1j * p
             z = grating._descent_path(ph, s, w)
-            for zj, q in zip(z, ph.a / (w * ph.c**3)):
+            for zj, q in zip(z[0], (ph.a / (w * ph.c**3))[0]):
                 x = np.roots([1.0, 2.0, 1.0, -q, -q / 2])
                 right = x[x.real > 0]
                 assert right.size == 1
@@ -606,6 +609,22 @@ class TestAngularPattern:
             angular_pattern(np.array([0.1, 0.0]), potential, geometry,
                             he_beam)
 
+    def test_rejects_fractional_slit_count(self, potential, geometry,
+                                           he_beam):
+        for n_slits in (2.5, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                grating_factor(0.1, n_slits, he_beam.wavelength,
+                               geometry.period)
+            with pytest.raises(InvalidInputError):
+                AngularScan(np.array([0.0, 0.1]), np.ones(2),
+                            n_slits=n_slits)
+        with pytest.raises(InvalidInputError):
+            angular_pattern(np.array([0.0, 0.1]), potential, geometry,
+                            he_beam, n_slits=2.5)
+        # a whole number of slits may come as a float
+        scan = AngularScan(np.array([0.0, 0.1]), np.ones(2), n_slits=3.0)
+        assert scan.n_slits == 3 and isinstance(scan.n_slits, int)
+
 
 class TestBSampling:
     """Scans sample the slit integral on Chebyshev points in b."""
@@ -613,15 +632,20 @@ class TestBSampling:
     @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
     def test_scan_cost(self, config, request, monkeypatch):
         cfg = load_config(request.getfixturevalue(config))
-        rows = []
-        cos_dot = grating._cos_dot
+        rows, calls = [], []
+        cos_dot, slit = grating._cos_dot, grating._slit_integrals
         monkeypatch.setattr(grating, "_cos_dot", lambda bs, z, core, half: (
             rows.append(bs.size) or cos_dot(bs, z, core, half)))
+        monkeypatch.setattr(grating, "_slit_integrals", lambda *args: (
+            calls.append(args[3].size) or slit(*args)))
         for points in (801, 4001):
             angular_pattern(_scan_grid(cfg, points), cfg.potential,
                             cfg.geometry, cfg.beam, tol=cfg.tolerance)
             assert 0 < max(rows) <= 60
+            # one call, the one the benchmark's oracle check replays
+            assert calls == [points]
             rows.clear()
+            calls.clear()
         # an order set is smaller than the degree: every b goes direct
         intensities_for_orders(cfg.potential, cfg.geometry, cfg.beam,
                                range(1, 11), tol=cfg.tolerance)
@@ -740,6 +764,17 @@ class TestVelocityAveraging:
         with pytest.raises(InvalidInputError):
             velocity_averaged_intensities(potential, geometry, he_beam,
                                           quad_points=4)
+
+    @pytest.mark.parametrize("quad_points", [103, 100001])
+    def test_node_count_bounded(self, quad_points, potential, geometry,
+                                he_beam, monkeypatch):
+        # rejected before hermgauss builds its quad_points-square matrix
+        def boom(n):
+            raise AssertionError("hermgauss ran")
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
+        with pytest.raises(InvalidInputError):
+            velocity_averaged_intensities(potential, geometry, he_beam,
+                                          quad_points=quad_points)
 
     def test_overwide_spread_rejected(self, potential, geometry):
         beam = BeamState(mass_u=4.002602, velocity=2347.0, dv_over_u=0.9)
