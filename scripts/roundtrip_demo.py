@@ -4,8 +4,7 @@
 Two loops on the He* configuration:
 
   1. order level: synthesize_orders -> fit_c3
-  2. scan level:  synthesize_scan -> fit_gaussian_peaks ->
-                  normalize_orders -> fit_c3
+  2. scan level:  synthesize_scan -> scan_order_intensities -> fit_c3
 
 Run from the repository root:  python scripts/roundtrip_demo.py
 """
@@ -18,10 +17,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from vdwgrating import (  # noqa: E402
-    diffraction_angle,
     fit_c3,
-    fit_gaussian_peaks,
-    normalize_orders,
+    scan_order_intensities,
     synthesize_orders,
     synthesize_scan,
 )
@@ -48,10 +45,7 @@ def main():
     grid = np.linspace(-theta_max, theta_max, 30001)
     scan = synthesize_scan(cfg.potential, cfg.geometry, cfg.beam, grid,
                            n_slits=100, noise_fraction=0.01, seed=cfg.seed)
-    centers = [diffraction_angle(n, lam, cfg.geometry.period)
-               for n in orders]
-    peaks = fit_gaussian_peaks(scan, centers)
-    observed = normalize_orders(list(zip(orders, peaks)))
+    observed = scan_order_intensities(scan, orders, cfg.geometry, cfg.beam)
     res2 = fit_c3(observed, cfg.geometry, cfg.beam)
     print(f"scan-level loop:  true C3 = {true_c3}, fitted "
           f"{res2.c3:.4f} +- {res2.uncertainty:.4f} meV nm^3")

@@ -4,7 +4,7 @@ an attractive -C3/l^3 wall potential.
 Three layers:
 
     grating    eikonal diffraction model and oscillatory quadrature
-    inference  peak extraction, order normalization, one-parameter C3 fit
+    inference  one-period peak areas of a scan, one-parameter C3 fit
     lifshitz   Tauc-Lorentz / Kramers-Kronig prediction of C3
 
 plus config (run files), dataio (CSV and report formats) and a CLI
@@ -44,10 +44,8 @@ from .grating import (
 )
 from .inference import (
     C3FitResult,
-    GaussianPeak,
     fit_c3,
-    fit_gaussian_peaks,
-    normalize_orders,
+    scan_order_intensities,
     synthesize_orders,
     synthesize_scan,
 )
@@ -82,8 +80,8 @@ __all__ = [
     "order_intensities", "slit_amplitude", "transmission_factor",
     "velocity_averaged_intensities", "wall_phase",
     # inference
-    "C3FitResult", "GaussianPeak", "fit_c3", "fit_gaussian_peaks",
-    "normalize_orders", "synthesize_orders", "synthesize_scan",
+    "C3FitResult", "fit_c3", "scan_order_intensities", "synthesize_orders",
+    "synthesize_scan",
     # lifshitz
     "C3Result", "CachedDielectric", "LorentzSurface", "OneOscillatorAtom",
     "TabulatedPolarizability", "TaucLorentzParams", "c3_lifshitz",

@@ -41,8 +41,7 @@ from .errors import (
     InvalidInputError,
     ToolkitError,
 )
-from .grating import angular_pattern, order_intensities, \
-    velocity_averaged_intensities
+from .grating import angular_pattern, velocity_averaged_intensities
 from .inference import RNG_ALGORITHM, fit_c3, synthesize_orders, \
     synthesize_scan
 from .lifshitz import (
@@ -193,13 +192,9 @@ def _cmd_simulate(args):
         print(f"wrote scan ({scan.angles.size} samples, "
               f"n_slits = {scan.n_slits}) to {args.out}")
         return 0
-    if cfg.beam.dv_over_u > 0:
-        oi = velocity_averaged_intensities(
-            cfg.potential, cfg.geometry, cfg.beam, n_max=cfg.n_max,
-            quad_points=args.quad_points, tol=cfg.tolerance)
-    else:
-        oi = order_intensities(cfg.potential, cfg.geometry, cfg.beam,
-                               n_max=cfg.n_max, tol=cfg.tolerance)
+    oi = velocity_averaged_intensities(
+        cfg.potential, cfg.geometry, cfg.beam, n_max=cfg.n_max,
+        quad_points=args.quad_points, tol=cfg.tolerance)
     save_orders_csv(args.out, oi)
     print(f"wrote {len(oi.orders)} order intensities to {args.out}")
     return 0

@@ -71,6 +71,11 @@ def _finite(x):
     return np.all(np.isfinite(x))
 
 
+def _require_slit_count(n_slits):
+    _require(float(n_slits).is_integer() and n_slits >= 1,
+             "n_slits must be a positive integer")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -233,8 +238,7 @@ class AngularScan:
         _require(np.all(np.diff(self.angles) > 0),
                  "angles must be strictly increasing")
         _require(np.all(self.values >= 0), "counts must be nonnegative")
-        _require(float(self.n_slits).is_integer() and self.n_slits >= 1,
-                 "n_slits must be a positive integer")
+        _require_slit_count(self.n_slits)
         object.__setattr__(self, "n_slits", int(self.n_slits))
 
 
@@ -820,8 +824,7 @@ def grating_factor(theta, n_slits, wavelength, period):
     The removable singularities at principal maxima are evaluated by the
     exact limit N cos(N x)/cos(x) when |sin x| < 1e-12.
     """
-    _require(float(n_slits).is_integer() and n_slits >= 1,
-             "n_slits must be a positive integer")
+    _require_slit_count(n_slits)
     theta = np.asarray(theta, dtype=float)
     x = (math.pi * period / wavelength) * np.sin(theta)
     sx = np.sin(x)
@@ -852,6 +855,7 @@ def angular_pattern(theta_grid, potential, geometry, beam, n_slits=100,
              "angles must satisfy |theta| < pi/2")
     _require(np.all(np.diff(theta_grid) > 0),
              "theta_grid must be strictly increasing")
+    _require_slit_count(n_slits)
     bs = beam.wavevector * np.abs(np.sin(theta_grid))
     vals, _ = _slit_integrals(potential, geometry, beam, bs, tol)
     pref = _amplitude_prefactor(theta_grid, beam.wavelength)
@@ -878,12 +882,16 @@ def velocity_averaged_intensities(potential, geometry, beam, n_max=10,
     through one batched slit-quadrature call (_slit_batch), which shares
     its setup among them.  quad_points must be odd so the mean velocity is
     a node; quad_points = 1 runs the same code path as order_intensities
-    and reproduces its intensity and sigma exactly.
+    and reproduces its intensity and sigma exactly.  So does a beam with
+    dv_over_u = 0, whatever valid quad_points is asked for: every node
+    would sit at the mean velocity.
     """
     _require(int(n_max) >= 1, "n_max must be >= 1")
     quad_points = int(quad_points)
     _require(1 <= quad_points <= _MAX_QUAD_POINTS and quad_points % 2 == 1,
              f"quad_points must be an odd integer in [1, {_MAX_QUAD_POINTS}]")
+    if beam.dv_over_u == 0:
+        quad_points = 1
     orders = tuple(range(-int(n_max), int(n_max) + 1))
     thetas = _order_thetas(orders, beam.wavelength, geometry.period)
 

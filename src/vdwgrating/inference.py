@@ -1,8 +1,8 @@
 """Extraction of C3 from measured or synthesized diffraction data.
 
-Pipeline: an angular scan is reduced to per-order peak areas by windowed
-Gaussian least squares; areas become relative intensities R_n; a
-one-parameter chi^2 fit against the diffraction model then yields C3
+Pipeline: an angular scan is reduced to per-order peak areas, each the
+trapezoid of the counts over one period of the N-slit factor; areas
+become relative intensities R_n; a one-parameter chi^2 fit against the diffraction model then yields C3
 with a Delta-chi^2 = 1 uncertainty.  The fit runs on a Chebyshev
 interpolant of the model in t = C3^(1/6), built from 33 (then, if its
 tail is not below tol * max|R|, 65 and 129) nested Chebyshev points in
@@ -46,10 +46,8 @@ from .grating import (
 
 __all__ = [
     "C3FitResult",
-    "GaussianPeak",
     "fit_c3",
-    "fit_gaussian_peaks",
-    "normalize_orders",
+    "scan_order_intensities",
     "synthesize_orders",
     "synthesize_scan",
 ]
@@ -66,159 +64,78 @@ def _rng(seed):
 # Peak extraction
 
 
-@dataclass(frozen=True)
-class GaussianPeak:
-    """One fitted peak: value(x) = amplitude exp(-(x-center)^2/(2 width^2)) + background."""
+def scan_order_intensities(scan, orders, geometry, beam):
+    """Relative order intensities from the peak areas of an angular scan.
 
-    amplitude: float
-    center: float
-    width: float
-    background: float
-    area_sigma: float = 0.0
+    orders are the strictly increasing diffraction orders to take;
+    geometry.period and beam.wavelength place them in the scan.
+    An N-slit peak is |f|^2 sin^2(N x) / sin^2(x) with
+    x = (pi d / lambda) sin(theta), and over one period of x that factor
+    integrates to N pi.  So the area of the counts in x over the window
+    |x - n pi| <= pi/2, by the trapezoid rule on the samples inside it
+    and divided by scan.n_slits * pi, is |f(theta_n)|^2 up to the
+    variation of |f|^2 across the window.  The areas of the requested
+    orders are normalized with OrderIntensities.from_raw.  No background
+    is subtracted: the diffraction pattern has none.
 
-    def __post_init__(self):
-        vals = [self.amplitude, self.center, self.width, self.background,
-                self.area_sigma]
-        _require(_finite(vals), "peak parameters must be finite")
-        _require(self.amplitude > 0, "amplitude must be positive")
-        _require(self.width > 0, "width must be positive")
-        _require(self.area_sigma >= 0, "area_sigma must be nonnegative")
-
-    @property
-    def area(self):
-        """Background-subtracted peak area, amplitude * width * sqrt(2 pi)."""
-        return self.amplitude * self.width * math.sqrt(2.0 * math.pi)
-
-
-def _gauss_model(x, amplitude, center, width, background):
-    return amplitude * np.exp(-0.5 * ((x - center) / width) ** 2) + background
-
-
-def _window_slices(angles, centers):
-    """Disjoint index windows around each expected center."""
-    gaps = np.diff(centers)
-    half = 0.5 * float(gaps.min()) if gaps.size else \
-        0.25 * (angles[-1] - angles[0])
-    for c in centers:
-        sel = (angles >= c - half) & (angles <= c + half)
-        yield sel
-
-
-def fit_gaussian_peaks(scan, centers, width_guess=1e-4):
-    """Fit one Gaussian-plus-background per expected peak center.
-
-    Parameters
-    ----------
-    scan : AngularScan
-        Count data versus angle.
-    centers : sequence of float
-        Expected peak positions, rad, strictly increasing.  A disjoint
-        window of half the smallest center spacing is cut around each.
-    width_guess : float
-        Fallback initial peak sigma, rad (defaults to a 1e-4 rad beam
-        divergence scale); a data-driven half-width estimate is used
-        when the window supports one.
-
-    Returns
-    -------
-    list of GaussianPeak, one per center, in order.
+    sigma treats the samples as Poisson counts: the variance of an area
+    is sum_i w_i^2 max(y_i, 1) over its trapezoid weights w_i.
 
     Raises
     ------
+    InvalidInputError
+        If the scan does not reach a window edge to within one sample
+        spacing, or a window holds no more than scan.n_slits samples (the
+        trapezoid then aliases the N-slit fringes).
     MissingPeakError
-        If any window lacks a significant peak (collected across all
-        windows before raising).
-    FitFailureError
-        If the least-squares iteration fails to converge on a window.
-
-    Notes
-    -----
-    Samples are weighted as Poisson counts, sigma_i = sqrt(max(y_i, 1)).
-    The area uncertainty follows from the (amplitude, width) covariance
-    of the weighted fit.  A window is declared missing when its maximum
-    does not rise at least five Poisson sigma above the lower decile, or
-    when the fitted amplitude is below three of its own sigma.
+        If a window's maximum does not rise at least five Poisson sigma
+        above the window's lower decile (collected across all windows
+        before raising).
     """
-    from scipy.optimize import curve_fit  # off the import path of the CLI
+    orders = tuple(int(n) for n in orders)
+    _require(len(orders) >= 1, "need at least one order")
+    _require(all(b > a for a, b in zip(orders, orders[1:])),
+             "orders must be strictly increasing")
+    _require(np.all(np.abs(scan.angles) < math.pi / 2),
+             "scan angles must satisfy |theta| < pi/2")
+    x = (math.pi * geometry.period / beam.wavelength) * np.sin(scan.angles)
+    y = scan.values
+    reach = (x[0] - (x[1] - x[0]), x[-1] + (x[-1] - x[-2]))
 
-    centers = np.asarray(centers, dtype=float)
-    _require(centers.ndim == 1 and centers.size >= 1,
-             "need at least one expected center")
-    _require(np.all(np.diff(centers) > 0),
-             "centers must be strictly increasing")
-    _require(_finite([width_guess]) and width_guess > 0,
-             "width_guess must be positive")
-
-    peaks = []
-    missing = []
-    for c, sel in zip(centers, _window_slices(scan.angles, centers)):
-        x = scan.angles[sel]
-        y = scan.values[sel]
-        if x.size < 8:
+    areas, variances, missing = [], [], []
+    for n in orders:
+        lo, hi = (n - 0.5) * math.pi, (n + 0.5) * math.pi
+        if lo < reach[0] or hi > reach[1]:
             raise InvalidInputError(
-                f"window at {c:.6g} rad holds {x.size} samples; need >= 8")
-        background = float(np.quantile(y, 0.1))
-        peak_height = float(y.max()) - background
-        if peak_height < 5.0 * math.sqrt(max(background, 1.0)):
-            missing.append(float(c))
+                f"scan covers x in [{x[0]:.6g}, {x[-1]:.6g}]; the window of "
+                f"order {n} is [{lo:.6g}, {hi:.6g}]")
+        i = int(np.searchsorted(x, lo, side="left"))
+        j = int(np.searchsorted(x, hi, side="right"))
+        if j - i <= scan.n_slits:
+            raise InvalidInputError(
+                f"window of order {n} holds {j - i} samples; need more than "
+                f"n_slits = {scan.n_slits} to resolve its fringes")
+        xw, yw = x[i:j], y[i:j]
+        # np.quantile(yw, 0.1), which would import numpy.ma
+        floor = float(np.interp(0.1 * (yw.size - 1), np.arange(yw.size),
+                                np.sort(yw)))
+        if float(yw.max()) - floor < 5.0 * math.sqrt(max(floor, 1.0)):
+            missing.append(n)
             continue
-        # data-driven width: half width at half maximum of the window
-        i_max = int(np.argmax(y))
-        above = y - background > 0.5 * peak_height
-        hwhm = 0.5 * (x[above][-1] - x[above][0]) if above.sum() >= 2 else 0.0
-        sigma0 = hwhm / math.sqrt(2.0 * math.log(2.0)) if hwhm > 0 \
-            else width_guess
-        sigma0 = min(max(sigma0, float(np.diff(x).min())), width_guess * 10)
-        p0 = [peak_height, float(x[i_max]), sigma0, background]
-        weights = np.sqrt(np.maximum(y, 1.0))
-        try:
-            popt, pcov = curve_fit(
-                _gauss_model, x, y, p0=p0, sigma=weights,
-                absolute_sigma=True, xtol=1e-8, maxfev=200 * (len(p0) + 1))
-        except RuntimeError as exc:
-            raise FitFailureError(
-                f"peak fit at {c:.6g} rad did not converge: {exc}") from exc
-        amplitude, center, width, bg = popt
-        width = abs(float(width))
-        if (not np.all(np.isfinite(popt))
-                or amplitude <= 0
-                or amplitude < 3.0 * math.sqrt(max(pcov[0, 0], 0.0))):
-            missing.append(float(c))
-            continue
-        # area = A w sqrt(2 pi); propagate the (A, w) covariance block
-        j = np.array([width, 0.0, amplitude, 0.0]) * math.sqrt(2.0 * math.pi)
-        var = float(j @ pcov @ j)
-        peaks.append(GaussianPeak(
-            amplitude=float(amplitude), center=float(center), width=width,
-            background=float(bg), area_sigma=math.sqrt(max(var, 0.0))))
+        # trapezoid weights (x_{i+1} - x_{i-1}) / 2, one-sided at the ends
+        xe = np.concatenate((xw[:1], xw, xw[-1:]))
+        w = 0.5 * (xe[2:] - xe[:-2])
+        areas.append(float(w @ yw))
+        variances.append(float((w * w) @ np.maximum(yw, 1.0)))
     if missing:
+        centers = _order_thetas(missing, beam.wavelength, geometry.period)
         raise MissingPeakError(
-            f"no significant peak near {len(missing)} expected "
-            f"center(s): {', '.join(f'{c:.6g}' for c in missing)} rad",
-            centers=missing)
-    return peaks
-
-
-def normalize_orders(order_peaks):
-    """Turn per-order peak areas into relative intensities.
-
-    Parameters
-    ----------
-    order_peaks : sequence of (order, GaussianPeak)
-        Distinct integer orders with their fitted peaks.
-
-    Returns
-    -------
-    OrderIntensities with sigma propagated from the per-peak area
-    uncertainties (normalization treated as a constant).
-    """
-    pairs = sorted(((int(n), p) for n, p in order_peaks), key=lambda t: t[0])
-    _require(len(pairs) >= 1, "need at least one order")
-    orders = [n for n, _ in pairs]
-    _require(len(set(orders)) == len(orders), "orders must be distinct")
-    areas = np.array([p.area for _, p in pairs])
-    sigmas = np.array([p.area_sigma for _, p in pairs])
-    return OrderIntensities.from_raw(tuple(orders), areas, sigmas)
+            f"no significant peak in the window of order(s) "
+            f"{', '.join(map(str, missing))}",
+            centers=[float(c) for c in centers])
+    scale = scan.n_slits * math.pi
+    return OrderIntensities.from_raw(orders, np.array(areas) / scale,
+                                     np.sqrt(variances) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -66,16 +66,19 @@ class TestSimulate:
         np.testing.assert_allclose(got.intensity, expect.intensity,
                                    rtol=1e-12)
 
-    def test_node_count_bounded(self, he_config_path, tmp_path, capsys,
-                                monkeypatch):
-        # rejected before hermgauss builds its quad_points-square matrix
+    def test_node_count_bounded(self, he_config_path, fast_cfg, tmp_path,
+                                capsys, monkeypatch):
+        # rejected before hermgauss builds its quad_points-square matrix,
+        # also where beam.dv_over_u = 0 (fast_cfg) needs only one node
         def boom(n):
             raise AssertionError("hermgauss ran")
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
-        assert main(["simulate", "--config", str(he_config_path),
-                     "--quad-points", "100001",
-                     "--out", str(tmp_path / "o.csv")]) == 2
-        assert "input: InvalidInputError" in capsys.readouterr().err
+        for cfg in (he_config_path, fast_cfg):
+            for quad_points in ("4", "100001"):
+                assert main(["simulate", "--config", str(cfg),
+                             "--quad-points", quad_points,
+                             "--out", str(tmp_path / "o.csv")]) == 2
+                assert "input: InvalidInputError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "synth"])
     @pytest.mark.parametrize("points", ["15", "1000001", "1000000000"])
@@ -268,6 +271,20 @@ class TestImportPath:
         argv = ["fit", "--config", str(fast_cfg), "--data", str(data),
                 "--out", str(tmp_path / "fit.txt")]
         code = f"from vdwgrating.cli import main; assert main({argv!r}) == 0"
+        assert self._unwanted_modules_after(code) == "[]"
+
+    def test_scan_to_c3_loads_no_scipy(self, fast_cfg):
+        code = (
+            "from vdwgrating import fit_c3, scan_order_intensities, "
+            "synthesize_scan\n"
+            "from vdwgrating.cli import _scan_grid\n"
+            "from vdwgrating.config import load_config\n"
+            f"cfg = load_config({str(fast_cfg)!r})\n"
+            "scan = synthesize_scan(cfg.potential, cfg.geometry, cfg.beam, "
+            "_scan_grid(cfg, 4001))\n"
+            "obs = scan_order_intensities(scan, range(1, cfg.n_max + 1), "
+            "cfg.geometry, cfg.beam)\n"
+            "assert abs(fit_c3(obs, cfg.geometry, cfg.beam).c3 - 4.1) < 0.05")
         assert self._unwanted_modules_after(code) == "[]"
 
 

@@ -625,6 +625,19 @@ class TestAngularPattern:
         scan = AngularScan(np.array([0.0, 0.1]), np.ones(2), n_slits=3.0)
         assert scan.n_slits == 3 and isinstance(scan.n_slits, int)
 
+    def test_slit_count_checked_before_quadrature(self, potential, geometry,
+                                                  he_beam, monkeypatch):
+        calls = []
+        real = grating._slit_integrals
+        monkeypatch.setattr(grating, "_slit_integrals",
+                            lambda *args: calls.append(1) or real(*args))
+        grid = np.linspace(-0.01, 0.01, 4001)
+        for n_slits in (0, -3, 2.5):
+            with pytest.raises(InvalidInputError):
+                angular_pattern(grid, potential, geometry, he_beam,
+                                n_slits=n_slits)
+        assert calls == []
+
 
 class TestBSampling:
     """Scans sample the slit integral on Chebyshev points in b."""
@@ -725,6 +738,16 @@ class TestVelocityAveraging:
         one = velocity_averaged_intensities(potential, geometry, he_beam,
                                             n_max=10, quad_points=1)
         assert np.array_equal(one.sigma, mono.sigma)
+
+    @pytest.mark.parametrize("quad_points", [3, 11])
+    def test_no_spread_is_monochromatic(self, quad_points, potential,
+                                        geometry):
+        beam = BeamState(mass_u=4.002602, velocity=2347.0)
+        mono = order_intensities(potential, geometry, beam, n_max=10)
+        avg = velocity_averaged_intensities(potential, geometry, beam,
+                                            n_max=10, quad_points=quad_points)
+        assert np.array_equal(avg.intensity, mono.intensity)
+        assert np.array_equal(avg.sigma, mono.sigma)
 
     def test_converged_in_node_count(self, potential, geometry, he_beam):
         a = velocity_averaged_intensities(potential, geometry, he_beam,

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,116 +15,129 @@ from vdwgrating import (
     AngularScan,
     BoundarySolutionError,
     FitFailureError,
-    GaussianPeak,
     InvalidInputError,
     MissingPeakError,
     MultimodalObjectiveError,
     Potential,
     diffraction_angle,
     fit_c3,
-    fit_gaussian_peaks,
+    grating_factor,
     intensities_for_orders,
-    normalize_orders,
+    scan_order_intensities,
     synthesize_orders,
     synthesize_scan,
 )
 from vdwgrating import grating, inference
+from vdwgrating.cli import _scan_grid
 from vdwgrating.config import load_config
 from vdwgrating.inference import _brent_root, _strict_local_minima
 
 
-def _gauss(x, a, c, s, b):
-    return a * np.exp(-0.5 * ((x - c) / s) ** 2) + b
+class TestScanOrderIntensities:
+    """One-period trapezoid areas of an N-slit scan."""
 
+    N = 100
 
-class TestGaussianPeak:
-    def test_area_formula(self):
-        p = GaussianPeak(amplitude=3.0, center=0.0, width=2.0,
-                         background=1.0)
-        assert p.area == pytest.approx(3.0 * 2.0 * math.sqrt(2 * math.pi),
-                                       rel=1e-15)
+    def _scan(self, geometry, beam, envelope, background=0.0, points=6001,
+              x_range=(0.5, 3.5), noise_seed=None):
+        """Scan of orders 1..3: envelope[n - 1] (constant over order n's
+        window) times the N-slit factor, plus a flat background, on a grid
+        uniform in x = (pi d / lambda) sin(theta)."""
+        x = math.pi * np.linspace(*x_range, points)
+        angles = np.arcsin(x * beam.wavelength / (math.pi * geometry.period))
+        d2 = grating_factor(angles, self.N, beam.wavelength,
+                            geometry.period) ** 2
+        order = np.clip(np.rint(x / math.pi), 1, 3).astype(int)
+        y = np.asarray(envelope, dtype=float)[order - 1] * d2 + background
+        if noise_seed is not None:
+            rng = np.random.default_rng(noise_seed)
+            y = np.clip(y + np.sqrt(np.maximum(y, 1.0))
+                        * rng.standard_normal(y.size), 0.0, None)
+        return AngularScan(angles, y, n_slits=self.N)
 
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(InvalidInputError):
-            GaussianPeak(amplitude=1.0, center=0.0, width=0.0,
-                         background=0.0)
-
-
-class TestFitGaussianPeaks:
-    def _synthetic_scan(self, centers, amps, width, background, noise=0.0,
-                        seed=0):
-        x = np.linspace(centers[0] - 3e-4, centers[-1] + 3e-4, 6000)
-        y = np.full_like(x, background)
-        for c, a in zip(centers, amps):
-            y += _gauss(x, a, c, width, 0.0)
-        if noise:
-            rng = np.random.default_rng(seed)
-            y = np.clip(y + noise * np.sqrt(np.maximum(y, 1.0))
-                        * rng.standard_normal(x.size), 0.0, None)
-        return AngularScan(x, y, n_slits=100)
-
-    def test_recovers_known_parameters(self):
-        centers = [1e-3, 1.5e-3, 2e-3]
-        amps = [5e4, 2e4, 8e3]
-        scan = self._synthetic_scan(centers, amps, width=4e-5,
-                                    background=150.0)
-        peaks = fit_gaussian_peaks(scan, centers)
-        for p, c, a in zip(peaks, centers, amps):
-            assert p.center == pytest.approx(c, abs=1e-9)
-            assert p.amplitude == pytest.approx(a, rel=1e-6)
-            assert p.width == pytest.approx(4e-5, rel=1e-6)
-            assert p.background == pytest.approx(150.0, rel=1e-3)
-
-    def test_recovers_with_poisson_like_noise(self):
-        centers = [1e-3, 2e-3]
-        amps = [5e4, 1e4]
-        scan = self._synthetic_scan(centers, amps, width=4e-5,
-                                    background=100.0, noise=1.0, seed=3)
-        peaks = fit_gaussian_peaks(scan, centers)
-        for p, a in zip(peaks, amps):
-            assert p.area_sigma > 0
-            assert abs(p.area - a * 4e-5 * math.sqrt(2 * math.pi)) \
-                < 5 * p.area_sigma
-
-    def test_flat_scan_reports_missing_peaks(self):
-        x = np.linspace(0.0, 3e-3, 3000)
-        scan = AngularScan(x, np.full_like(x, 80.0))
-        with pytest.raises(MissingPeakError) as err:
-            fit_gaussian_peaks(scan, [1e-3, 2e-3])
-        assert len(err.value.centers) == 2
-
-    def test_one_absent_peak_is_named(self):
-        centers = [1e-3, 2e-3]
-        scan = self._synthetic_scan(centers, [5e4, 0.0], width=4e-5,
-                                    background=100.0)
-        with pytest.raises(MissingPeakError) as err:
-            fit_gaussian_peaks(scan, centers)
-        assert err.value.centers == (pytest.approx(2e-3),)
-
-    def test_too_few_samples_rejected(self):
-        x = np.linspace(0.0, 1e-3, 12)
-        scan = AngularScan(x, np.ones_like(x))
-        with pytest.raises(InvalidInputError):
-            fit_gaussian_peaks(scan, [2e-4, 8e-4])
-
-
-class TestNormalizeOrders:
-    def test_unit_sum_and_sigma(self):
-        peaks = [
-            (1, GaussianPeak(100.0, 1e-3, 4e-5, 0.0, area_sigma=0.5)),
-            (2, GaussianPeak(50.0, 2e-3, 4e-5, 0.0, area_sigma=0.4)),
-            (3, GaussianPeak(10.0, 3e-3, 4e-5, 0.0, area_sigma=0.3)),
-        ]
-        oi = normalize_orders(peaks)
+    def test_recovers_known_areas(self, geometry, he_beam):
+        # the N-slit factor integrates to N pi over each period, which
+        # the trapezoid rule on uniform samples gets to rounding
+        envelope = np.array([50.0, 20.0, 8.0])
+        scan = self._scan(geometry, he_beam, envelope)
+        oi = scan_order_intensities(scan, (1, 2, 3), geometry, he_beam)
         assert oi.orders == (1, 2, 3)
-        assert float(oi.intensity.sum()) == pytest.approx(1.0, abs=1e-12)
-        assert oi.intensity[0] == pytest.approx(100.0 / 160.0, rel=1e-12)
+        np.testing.assert_allclose(oi.intensity, envelope / envelope.sum(),
+                                   rtol=1e-6)
         assert np.all(oi.sigma > 0)
 
-    def test_rejects_duplicate_orders(self):
-        p = GaussianPeak(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(InvalidInputError):
-            normalize_orders([(1, p), (1, p)])
+    def test_recovers_with_poisson_noise(self, geometry, he_beam):
+        envelope = np.array([500.0, 200.0, 80.0])
+        scan = self._scan(geometry, he_beam, envelope, noise_seed=3)
+        oi = scan_order_intensities(scan, (1, 2, 3), geometry, he_beam)
+        assert np.all(np.abs(oi.intensity - envelope / envelope.sum())
+                      < 5 * oi.sigma)
+
+    def test_order_subset_normalizes_over_it(self, geometry, he_beam):
+        envelope = np.array([50.0, 20.0, 8.0])
+        scan = self._scan(geometry, he_beam, envelope)
+        oi = scan_order_intensities(scan, (1, 3), geometry, he_beam)
+        np.testing.assert_allclose(oi.intensity, [50 / 58, 8 / 58],
+                                   rtol=1e-6)
+
+    def test_flat_scan_reports_missing_peaks(self, geometry, he_beam):
+        scan = self._scan(geometry, he_beam, [0.0, 0.0, 0.0], background=80.0)
+        with pytest.raises(MissingPeakError) as err:
+            scan_order_intensities(scan, (1, 2), geometry, he_beam)
+        assert len(err.value.centers) == 2
+
+    def test_one_absent_peak_is_named(self, geometry, he_beam):
+        scan = self._scan(geometry, he_beam, [50.0, 0.0, 8.0],
+                          background=100.0)
+        with pytest.raises(MissingPeakError) as err:
+            scan_order_intensities(scan, (1, 2, 3), geometry, he_beam)
+        theta_2 = diffraction_angle(2, he_beam.wavelength, geometry.period)
+        assert err.value.centers == (pytest.approx(theta_2),)
+
+    def test_too_few_samples_rejected(self, geometry, he_beam):
+        # 91 samples a window at N = 100: the trapezoid would alias the
+        # fringes
+        scan = self._scan(geometry, he_beam, [50.0, 20.0, 8.0], points=271)
+        with pytest.raises(InvalidInputError, match="n_slits"):
+            scan_order_intensities(scan, (1, 2, 3), geometry, he_beam)
+
+    def test_window_edge_must_be_reached(self, geometry, he_beam):
+        envelope = [50.0, 20.0, 8.0]
+        h = 3.0 / 6000  # grid spacing in units of pi
+        short = self._scan(geometry, he_beam, envelope,
+                           x_range=(0.5 + 1.5 * h, 3.5))
+        with pytest.raises(InvalidInputError, match="order 1"):
+            scan_order_intensities(short, (1, 2, 3), geometry, he_beam)
+        # within one sample spacing of the edge is enough
+        near = self._scan(geometry, he_beam, envelope,
+                          x_range=(0.5 + 0.5 * h, 3.5 - 0.5 * h))
+        scan_order_intensities(near, (1, 2, 3), geometry, he_beam)
+        with pytest.raises(InvalidInputError, match="order 4"):
+            scan_order_intensities(near, (2, 3, 4), geometry, he_beam)
+
+    def test_rejects_unordered_orders(self, geometry, he_beam):
+        scan = self._scan(geometry, he_beam, [50.0, 20.0, 8.0])
+        for orders in [(1, 1, 2), (2, 1), ()]:
+            with pytest.raises(InvalidInputError):
+                scan_order_intensities(scan, orders, geometry, he_beam)
+
+    @pytest.mark.parametrize("cfg_path", ["he_config_path",
+                                          "ne_config_path"])
+    def test_shipped_scans_match_model(self, cfg_path, request):
+        # the command line's 4001-point grid over +-10.5 orders
+        cfg = load_config(request.getfixturevalue(cfg_path))
+        scan = synthesize_scan(cfg.potential, cfg.geometry, cfg.beam,
+                               _scan_grid(cfg, 4001), n_slits=100,
+                               tol=cfg.tolerance)
+        orders = tuple(range(1, 11))
+        observed = scan_order_intensities(scan, orders, cfg.geometry,
+                                          cfg.beam)
+        model = intensities_for_orders(cfg.potential, cfg.geometry, cfg.beam,
+                                       orders, cfg.tolerance)
+        np.testing.assert_allclose(observed.intensity, model.intensity,
+                                   rtol=5e-3)
+        res = fit_c3(observed, cfg.geometry, cfg.beam, tol=cfg.tolerance)
+        assert res.c3 == pytest.approx(cfg.potential.c3, rel=0.01)
 
 
 class _Counted:
@@ -439,8 +456,8 @@ class TestSynthesize:
 
 class TestScanPipeline:
     def test_scan_to_c3_roundtrip(self, potential, geometry, he_beam):
-        # synthesize a positive-side scan, pull out peaks 1..10,
-        # normalize, fit; closes the loop through every inference stage
+        # synthesize a positive-side scan, take the areas of peaks 1..10,
+        # fit; closes the loop through every inference stage
         lam = he_beam.wavelength
         d = geometry.period
         orders = tuple(range(1, 11))
@@ -448,8 +465,16 @@ class TestScanPipeline:
         scan = synthesize_scan(potential, geometry, he_beam, grid,
                                n_slits=100, noise_fraction=0.01, seed=2026,
                                peak_counts=1e6)
-        centers = [diffraction_angle(n, lam, d) for n in orders]
-        peaks = fit_gaussian_peaks(scan, centers)
-        observed = normalize_orders(list(zip(orders, peaks)))
+        observed = scan_order_intensities(scan, orders, geometry, he_beam)
         res = fit_c3(observed, geometry, he_beam)
         assert abs(res.c3 - potential.c3) / potential.c3 < 0.05
+
+    def test_roundtrip_demo_recovers_c3(self):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "roundtrip_demo.py")
+        out = subprocess.run([sys.executable, script], capture_output=True,
+                             text=True, check=True, timeout=300).stdout
+        fitted = re.findall(r"(order|scan)-level loop: .*fitted (\S+)", out)
+        assert [loop for loop, _ in fitted] == ["order", "scan"]
+        for _, c3 in fitted:
+            assert float(c3) == pytest.approx(4.1, rel=0.01)
