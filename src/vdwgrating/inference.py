@@ -172,62 +172,13 @@ def _strict_local_minima(values):
     return hits
 
 
-_RTOL = 4.0 * np.finfo(float).eps  # brentq's default relative tolerance
-
-
-def _brent_root(f, a, b, xtol, maxiter=100):
-    """Root of f in [a, b], where f changes sign, by Brent's method.
-
-    Inverse quadratic or secant steps, bisection when they are too slow,
-    as scipy's brentq runs it with its defaults (rtol = 4 eps,
-    maxiter = 100): both visit the same points.  Raises FitFailureError
-    when the bracket does not change sign or maxiter steps do not
-    converge.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise FitFailureError(f"no sign change of the root function on "
-                              f"[{a:.6g}, {b:.6g}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic through pre, cur, blk
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-        if stry is not None and \
-                2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise FitFailureError(f"root search on [{a:.6g}, {b:.6g}] did not "
-                          f"converge in {maxiter} steps")
-
-
 # degrees of the nested Chebyshev ladder in t = C3^(1/6), each twice the last
 _CHEB_LEVELS = (32, 64, 128)
+# equally spaced C3 at which fit_c3 checks chi^2 for several minima
+_GRID_POINTS = 25
+# meV nm^3: the floor of fit_c3's uncertainty, and the least distance of its
+# minimum from a search bound
+_XATOL = 1e-3
 
 
 def _cosines(n, rows, cols):
@@ -253,8 +204,7 @@ def _cheb_values(coeffs, x):
     return np.cos(np.multiply.outer(theta, np.arange(len(coeffs)))) @ coeffs
 
 
-def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
-           xatol=1e-3, grid_points=25):
+def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8):
     """Least-squares estimate of C3 from relative order intensities.
 
     chi^2(C3) = sum_n w_n (R_n^obs - R_n^model(C3))^2 with w_n = 1/sigma_n^2
@@ -275,11 +225,12 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
 
     chi^2(t) is then a polynomial of twice the interpolant's degree, and
     everything else comes from it with no further model evaluation: the
-    chi^2 curve on grid_points equally spaced C3 in bounds, which guards
-    against multiple minima and boundary solutions; the minimum between
-    the grid neighbours of the grid minimum, among the real roots of
-    dchi^2/dt there; and each Delta-chi^2 crossing, by Brent's method on
-    the first stretch between roots of dchi^2/dt that reaches the target.
+    chi^2 curve on 25 equally spaced C3 in bounds, which guards against
+    multiple minima and boundary solutions; the minimum between the grid
+    neighbours of the grid minimum, among the real roots of dchi^2/dt
+    there; and each Delta-chi^2 crossing, by Newton steps on chi^2 and
+    dchi^2/dt, guarded by bisection, in the first stretch between roots
+    of dchi^2/dt that reaches the target (the search bound if none does).
     One exact model evaluation at the minimum gives the reported
     residuals and chi^2; its largest difference from the surrogate is
     reported as surrogate_error.
@@ -287,7 +238,7 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     The one-sigma uncertainty is half the width of the
     chi^2 = chi2_min + Delta interval, Delta = 1 for weighted fits and
     chi2_min / dof otherwise (the usual rescaling when sigma is
-    unknown); it is floored at xatol.
+    unknown); it is floored at 1e-3 meV nm^3.
 
     The model is monochromatic: beam.dv_over_u is ignored.  Data made
     with a velocity spread are fitted with a bias; on orders 1..10
@@ -298,13 +249,12 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     Raises
     ------
     FitFailureError
-        The interpolant's tail is still above tol * max|R| at 129 points,
-        or a Delta-chi^2 crossing search does not converge.
+        The interpolant's tail is still above tol * max|R| at 129 points.
     MultimodalObjectiveError
         More than one strict local minimum on the grid.
     BoundarySolutionError
         Grid minimum at an endpoint of bounds, or the minimum within
-        xatol of one.
+        1e-3 of one.
     InvalidInputError
         Fewer than three observed orders, or malformed bounds.
     """
@@ -312,8 +262,6 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
              "need at least three orders to constrain C3")
     lo, hi = float(bounds[0]), float(bounds[1])
     _require(_finite([lo, hi]) and 0 <= lo < hi, "bounds must satisfy 0 <= lo < hi")
-    _require(int(grid_points) >= 5, "grid_points must be >= 5")
-    _require(xatol > 0, "xatol must be positive")
 
     robs = observed.intensity
     if observed.sigma is not None and np.all(observed.sigma > 0):
@@ -362,7 +310,7 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     def chi2(x):
         return _cheb_values(chi2_coeffs, x)
 
-    grid = np.linspace(lo, hi, int(grid_points))
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     grid_x = np.clip((grid ** (1 / 6) - t_mid) / t_half, -1.0, 1.0)
     curve = chi2(grid_x)
     minima = _strict_local_minima(curve)
@@ -379,7 +327,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
             f"search bound {grid[i0]:.4g}; widen bounds")
 
     # real roots in (-1, 1), ascending as chebroots sorts them
-    crit = cheb.chebroots(cheb.chebder(chi2_coeffs))
+    dchi2_coeffs = cheb.chebder(chi2_coeffs)
+    crit = cheb.chebroots(dchi2_coeffs)
     crit = crit.real[(crit.imag == 0) & (np.abs(crit.real) < 1)]
     xa, xb = grid_x[i0 - 1], grid_x[i0 + 1]
     cands = np.concatenate(([xa, xb], crit[(crit > xa) & (crit < xb)]))
@@ -387,34 +336,58 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8,
     x_hat = float(cands[np.argmin(cand_chi2)])
     chi2_min = float(cand_chi2.min())
     c3_hat = float(c3_at(x_hat))
-    if min(c3_hat - lo, hi - c3_hat) < xatol:
+    if min(c3_hat - lo, hi - c3_hat) < _XATOL:
         raise BoundarySolutionError(
-            f"refined minimum {c3_hat:.4g} sits within xatol of a search "
-            "bound; widen bounds")
+            f"refined minimum {c3_hat:.4g} sits within {_XATOL:g} of a "
+            "search bound; widen bounds")
 
     dof = max(len(observed.orders) - 1, 1)
     delta = 1.0 if weighted else max(chi2_min, 1e-30) / dof
     target = chi2_min + delta
 
-    def half_width(side):
-        # chi^2 is monotone between its critical points, so the first
-        # stretch that ends at or above the target holds the crossing
-        # (one scalar evaluation per point, so that the root search sees
-        # the same signs at the stretch's ends)
-        def excess(x):
-            return float(chi2(x)) - target
+    # The crossing above x_hat (k = 0) and below it (k = 1) lies between
+    # a[k] and b[k], with chi^2(a[k]) < target <= chi^2(b[k]): chi^2 is
+    # monotone between its critical points, so that is the first stretch
+    # whose outer end reaches the target.  The stretch shrinks to x_hat if
+    # chi^2(x_hat) already does, and to the bound if no stretch does.
+    a, b = [], []
+    for side in (1, -1):
+        ends = np.concatenate(
+            ([x_hat], crit[(crit - x_hat) * side > 0][::side], [side]))
+        reach = np.flatnonzero(chi2(ends) >= target)
+        if reach.size:
+            a.append(float(ends[max(reach[0] - 1, 0)]))
+            b.append(float(ends[reach[0]]))
+        else:
+            a.append(float(side))
+            b.append(float(side))
+    # Newton steps from the midpoints, with chi^2 and its derivative on both
+    # sides from one evaluation per step.  A step that would leave the
+    # stretch, or that is not below half the step before last, becomes a
+    # bisection (rtsafe, Numerical Recipes 9.4), so the search ends; it
+    # stops at a step of 1e-13 in x.
+    both = np.stack((chi2_coeffs, np.append(dchi2_coeffs, 0.0)), axis=1)
+    x = [0.5 * (a[k] + b[k]) for k in (0, 1)]
+    before = [b[k] - a[k] for k in (0, 1)]
+    last = list(before)
+    active = [0, 1]
+    while active:
+        f_df = _cheb_values(both, [x[k] for k in active]).tolist()
+        for k, (f, df) in zip(active, f_df):
+            f -= target
+            if f < 0:
+                a[k] = x[k]
+            else:
+                b[k] = x[k]
+            new = x[k] - f / df if df else math.inf
+            if not ((new - a[k]) * (new - b[k]) < 0
+                    and abs(new - x[k]) < 0.5 * abs(before[k])):
+                new = 0.5 * (a[k] + b[k])
+            before[k], last[k] = last[k], new - x[k]
+            x[k] = new
+        active = [k for k in active if abs(last[k]) > 1e-13]
 
-        beyond = crit[(crit - x_hat) * side > 0][::side]
-        ends = np.concatenate(([x_hat], beyond, [side]))
-        first = next((i for i, x in enumerate(ends) if excess(x) >= 0), None)
-        if first is None:
-            return abs((hi if side > 0 else lo) - c3_hat)
-        if first == 0:  # the target is within rounding of chi2_min
-            return 0.0
-        a, b = sorted((ends[first - 1], ends[first]))
-        return abs(c3_at(_brent_root(excess, a, b, 1e-13)) - c3_hat)
-
-    uncertainty = max(0.5 * (half_width(1) + half_width(-1)), xatol)
+    uncertainty = max(0.5 * (c3_at(x[0]) - c3_at(x[1])), _XATOL)
     exact = intensities_for_orders(Potential(c3_hat), geometry, beam,
                                    observed.orders, tol).intensity
     residuals = robs - exact

@@ -213,23 +213,6 @@ class TestFit:
         assert ERROR_LINE.search(err)
         assert "numerical: BoundarySolutionError" in err
 
-    def test_stalled_crossing_is_numerical_failure(self, fast_cfg, tmp_path,
-                                                   capsys, monkeypatch):
-        data = tmp_path / "data.csv"
-        assert main(["synth", "--config", str(fast_cfg), "--noise", "0.01",
-                     "--out", str(data)]) == 0
-        root = inference._brent_root
-        monkeypatch.setattr(inference, "_brent_root",
-                            lambda f, a, b, xtol: root(f, a, b, xtol,
-                                                       maxiter=1))
-        code = main(["fit", "--config", str(fast_cfg), "--data", str(data),
-                     "--out", str(tmp_path / "fit.txt")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert ERROR_LINE.search(err)
-        assert "numerical: FitFailureError" in err
-        assert "Traceback" not in err
-
     def test_unconverged_surrogate_is_numerical_failure(
             self, fast_cfg, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.csv"
