@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import KEY_TABLE, load_config
+from .config import KEY_TABLE, REQUIRED, load_config
 from .dataio import (
     load_orders_csv,
     load_polarizability_table,
@@ -41,7 +41,8 @@ from .errors import (
     InvalidInputError,
     ToolkitError,
 )
-from .grating import angular_pattern, velocity_averaged_intensities
+from .grating import OrderIntensities, angular_pattern, \
+    velocity_averaged_intensities
 from .inference import RNG_ALGORITHM, fit_c3, synthesize_orders, \
     synthesize_scan
 from .lifshitz import (
@@ -66,8 +67,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _key_table_help():
     lines = ["config keys (one 'section.key = value' per line):"]
-    for key, (_, _, text) in KEY_TABLE.items():
-        lines.append(f"  {key:24s} {text}")
+    for key, (_, _, default, text) in KEY_TABLE.items():
+        status = ("required" if default is REQUIRED else
+                  "optional" if default is None else f"default {default!r}")
+        lines.append(f"  {key:22s} {status:14s} {text}")
     return "\n".join(lines)
 
 
@@ -195,7 +198,9 @@ def _cmd_simulate(args):
     oi = velocity_averaged_intensities(
         cfg.potential, cfg.geometry, cfg.beam, n_max=cfg.n_max,
         quad_points=args.quad_points, tol=cfg.tolerance)
-    save_orders_csv(args.out, oi)
+    # without sigma: the model has no measurement error, and the quadrature
+    # error estimate is not one, so fit runs unweighted on this file
+    save_orders_csv(args.out, OrderIntensities(oi.orders, oi.intensity))
     print(f"wrote {len(oi.orders)} order intensities to {args.out}")
     return 0
 
@@ -242,7 +247,8 @@ def _cmd_fit(args):
     items += [(f"residual.{n}", f"{r:.8e}")
               for n, r in zip(result.orders, result.residuals)]
     items += [("diag.fit_degree", str(result.degree)),
-              ("diag.fit_surrogate_error", repr(result.surrogate_error))]
+              ("diag.fit_surrogate_error", repr(result.surrogate_error)),
+              ("diag.fit_bound_limited", str(result.bound_limited).lower())]
     items += [("data.path", str(args.data))]
     items += _config_items(cfg)
     write_report(args.out, items)

@@ -1,31 +1,10 @@
 """Line-oriented run configuration.
 
 Grammar: one `section.key = value` assignment per line; blank lines and
-lines starting with `#` are ignored.  Keys are fixed by the table below;
-unknown keys, duplicates, type errors and range violations raise
-ConfigError carrying the line number.
-
-    geometry.d            grating period, nm                   required
-    geometry.s0           slit width, nm (0 < s0 < d)          required
-    geometry.t            bar depth, nm                        required
-    geometry.beta_deg     wall wedge angle, degrees [0, 90)    required
-    beam.species          label, e.g. He*                      required
-    beam.mass_u           atom mass, u                         required
-    beam.velocity_mps     mean beam velocity, m/s              required
-    beam.dv_over_u        relative velocity FWHM [0, 1)        default 0
-    potential.c3_mev_nm3  wall C3, meV nm^3 (>= 0)             required
-    material.band_gap_ev  Tauc-Lorentz E_T, eV                 optional group
-    material.strength_ev  Tauc-Lorentz E_A, eV                 optional group
-    material.resonance_ev Tauc-Lorentz E_O, eV                 optional group
-    material.width_ev     Tauc-Lorentz E_G, eV                 optional group
-    material.g0           static surface response (0, 1)       optional
-    material.es_ev        surface oscillator energy, eV        optional
-    atom.alpha0_nm3       static polarizability, nm^3          optional pair
-    atom.ea_ev            atom oscillator energy, eV           optional pair
-    atom.table            path to an alpha(iE) table file      optional
-    run.n_max             highest diffraction order (>= 1)     required
-    run.tolerance         quadrature tolerance                 default 1e-8
-    run.seed              RNG seed (>= 0)                      default 0
+lines starting with `#` are ignored.  The keys are those of KEY_TABLE,
+which gives each one's converter, range check, default and help text;
+`vdwgrating --help` prints it.  Unknown keys, duplicates, type errors and
+range violations raise ConfigError carrying the line number.
 
 The four material.*_ev keys form a group: give all or none.  Likewise
 atom.alpha0_nm3 and atom.ea_ev come as a pair.  Which optional keys a
@@ -42,7 +21,8 @@ from .errors import ConfigError, InvalidInputError
 from .grating import BeamState, GratingGeometry, Potential
 from .lifshitz import OneOscillatorAtom, TaucLorentzParams
 
-__all__ = ["KEY_TABLE", "RunConfig", "load_config", "parse_config"]
+__all__ = ["KEY_TABLE", "REQUIRED", "RunConfig", "load_config",
+           "parse_config"]
 
 
 def _int_value(raw):
@@ -68,71 +48,76 @@ def _str_value(raw):
     return raw
 
 
-# key -> (converter, range check or None, help text)
+def _positive(v):
+    return v > 0
+
+
+# the KEY_TABLE default of a key every config must give
+REQUIRED = object()
+
+# key -> (converter, range check or None, default, help text); a default of
+# None marks an optional key that is left out when absent
 KEY_TABLE = {
-    "geometry.d": (_float_value, lambda v: v > 0, "grating period, nm"),
-    "geometry.s0": (_float_value, lambda v: v > 0, "slit width, nm"),
-    "geometry.t": (_float_value, lambda v: v > 0, "bar depth, nm"),
-    "geometry.beta_deg": (_float_value, lambda v: 0 <= v < 90,
-                          "wall wedge angle, degrees"),
-    "beam.species": (_str_value, None, "species label"),
-    "beam.mass_u": (_float_value, lambda v: v > 0, "atom mass, u"),
-    "beam.velocity_mps": (_float_value, lambda v: v > 0,
+    "geometry.d": (_float_value, _positive, REQUIRED, "grating period, nm"),
+    "geometry.s0": (_float_value, _positive, REQUIRED,
+                    "slit width, nm (0 < s0 < d)"),
+    "geometry.t": (_float_value, _positive, REQUIRED, "bar depth, nm"),
+    "geometry.beta_deg": (_float_value, lambda v: 0 <= v < 90, REQUIRED,
+                          "wall wedge angle, degrees [0, 90)"),
+    "beam.species": (_str_value, None, REQUIRED, "label, e.g. He*"),
+    "beam.mass_u": (_float_value, _positive, REQUIRED, "atom mass, u"),
+    "beam.velocity_mps": (_float_value, _positive, REQUIRED,
                           "mean beam velocity, m/s"),
-    "beam.dv_over_u": (_float_value, lambda v: 0 <= v < 1,
-                       "relative velocity FWHM"),
-    "potential.c3_mev_nm3": (_float_value, lambda v: v >= 0,
-                             "wall C3, meV nm^3"),
-    "material.band_gap_ev": (_float_value, lambda v: v > 0,
+    "beam.dv_over_u": (_float_value, lambda v: 0 <= v < 1, 0.0,
+                       "relative velocity FWHM [0, 1)"),
+    "potential.c3_mev_nm3": (_float_value, lambda v: v >= 0, REQUIRED,
+                             "wall C3, meV nm^3 (>= 0)"),
+    "material.band_gap_ev": (_float_value, _positive, None,
                              "Tauc-Lorentz band gap, eV"),
-    "material.strength_ev": (_float_value, lambda v: v > 0,
+    "material.strength_ev": (_float_value, _positive, None,
                              "Tauc-Lorentz strength, eV"),
-    "material.resonance_ev": (_float_value, lambda v: v > 0,
+    "material.resonance_ev": (_float_value, _positive, None,
                               "Tauc-Lorentz resonance, eV"),
-    "material.width_ev": (_float_value, lambda v: v > 0,
+    "material.width_ev": (_float_value, _positive, None,
                           "Tauc-Lorentz width, eV"),
-    "material.g0": (_float_value, lambda v: 0 < v < 1,
-                    "static surface response"),
-    "material.es_ev": (_float_value, lambda v: v > 0,
+    "material.g0": (_float_value, lambda v: 0 < v < 1, None,
+                    "static surface response (0, 1)"),
+    "material.es_ev": (_float_value, _positive, None,
                        "surface oscillator energy, eV"),
-    "atom.alpha0_nm3": (_float_value, lambda v: v > 0,
+    "atom.alpha0_nm3": (_float_value, _positive, None,
                         "static polarizability, nm^3"),
-    "atom.ea_ev": (_float_value, lambda v: v > 0,
+    "atom.ea_ev": (_float_value, _positive, None,
                    "atom oscillator energy, eV"),
-    "atom.table": (_str_value, None, "path to alpha(iE) table"),
-    "run.n_max": (_int_value, lambda v: v >= 1, "highest order"),
-    "run.tolerance": (_float_value, lambda v: 0 < v <= 1e-2,
-                      "quadrature tolerance"),
-    "run.seed": (_int_value, lambda v: v >= 0, "RNG seed"),
+    "atom.table": (_str_value, None, None, "path to an alpha(iE) table"),
+    "run.n_max": (_int_value, lambda v: v >= 1, REQUIRED,
+                  "highest diffraction order (>= 1)"),
+    "run.tolerance": (_float_value, lambda v: 0 < v <= 1e-2, 1e-8,
+                      "quadrature tolerance (0, 1e-2]"),
+    "run.seed": (_int_value, lambda v: v >= 0, 0, "RNG seed (>= 0)"),
 }
 
-_REQUIRED = (
-    "geometry.d", "geometry.s0", "geometry.t", "geometry.beta_deg",
-    "beam.species", "beam.mass_u", "beam.velocity_mps",
-    "potential.c3_mev_nm3", "run.n_max",
+_REQUIRED = [key for key, spec in KEY_TABLE.items() if spec[2] is REQUIRED]
+
+# keys that come all or none
+_GROUPS = (
+    ("material group", ("material.band_gap_ev", "material.strength_ev",
+                        "material.resonance_ev", "material.width_ev")),
+    ("atom pair", ("atom.alpha0_nm3", "atom.ea_ev")),
 )
-
-_REQUIRED_SECTIONS = ("geometry", "beam", "potential", "run")
-
-_MATERIAL_GROUP = ("material.band_gap_ev", "material.strength_ev",
-                   "material.resonance_ev", "material.width_ev")
-_ATOM_PAIR = ("atom.alpha0_nm3", "atom.ea_ev")
-
-_DEFAULTS = {
-    "beam.dv_over_u": 0.0,
-    "run.tolerance": 1e-8,
-    "run.seed": 0,
-}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration.
 
-    material / atom / surface pieces are None when their keys are
-    absent; commands that need them raise ConfigError at dispatch.
+    values holds the converted (key, value) pairs, defaults applied, in
+    KEY_TABLE order; absent optional keys are left out.  The other fields
+    are built from them.  material / atom / surface pieces are None when
+    their keys are absent; commands that need them raise ConfigError at
+    dispatch.
     """
 
+    values: tuple
     species: str
     geometry: GratingGeometry
     beam: BeamState
@@ -149,45 +134,11 @@ class RunConfig:
     def resolved_items(self):
         """Canonical `key = value` pairs, defaults applied.
 
-        Floats are emitted with repr so a written report re-parses to
+        Floats are written with repr, so a written report re-parses to
         bit-identical values.
         """
-        geo = self.geometry
-        items = [
-            ("geometry.d", repr(geo.period)),
-            ("geometry.s0", repr(geo.slit_width)),
-            ("geometry.t", repr(geo.bar_depth)),
-            ("geometry.beta_deg", repr(math.degrees(geo.wedge_angle))),
-            ("beam.species", self.species),
-            ("beam.mass_u", repr(self.beam.mass_u)),
-            ("beam.velocity_mps", repr(self.beam.velocity)),
-            ("beam.dv_over_u", repr(self.beam.dv_over_u)),
-            ("potential.c3_mev_nm3", repr(self.potential.c3)),
-        ]
-        if self.material is not None:
-            items += [
-                ("material.band_gap_ev", repr(self.material.band_gap)),
-                ("material.strength_ev", repr(self.material.strength)),
-                ("material.resonance_ev", repr(self.material.resonance)),
-                ("material.width_ev", repr(self.material.width)),
-            ]
-        if self.g0 is not None:
-            items.append(("material.g0", repr(self.g0)))
-        if self.es_ev is not None:
-            items.append(("material.es_ev", repr(self.es_ev)))
-        if self.atom is not None:
-            items += [
-                ("atom.alpha0_nm3", repr(self.atom.alpha0)),
-                ("atom.ea_ev", repr(self.atom.energy)),
-            ]
-        if self.table_path is not None:
-            items.append(("atom.table", self.table_path))
-        items += [
-            ("run.n_max", str(self.n_max)),
-            ("run.tolerance", repr(self.tolerance)),
-            ("run.seed", str(self.seed)),
-        ]
-        return items
+        return [(key, repr(v) if isinstance(v, float) else str(v))
+                for key, v in self.values]
 
 
 def parse_config(text, source="<config>"):
@@ -213,7 +164,7 @@ def parse_config(text, source="<config>"):
         if key in values:
             raise ConfigError(f"{source}: duplicate key {key!r}",
                               line=lineno, key=key)
-        convert, check, _ = KEY_TABLE[key]
+        convert, check, _, _ = KEY_TABLE[key]
         try:
             value = convert(raw_value)
         except ValueError as exc:
@@ -226,26 +177,23 @@ def parse_config(text, source="<config>"):
         lines[key] = lineno
 
     if not values:
-        raise ConfigError(
-            f"{source}: empty configuration; required sections: "
-            + ", ".join(_REQUIRED_SECTIONS))
+        sections = dict.fromkeys(key.split(".")[0] for key in _REQUIRED)
+        raise ConfigError(f"{source}: empty configuration; required "
+                          "sections: " + ", ".join(sections))
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing required key(s): "
                           + ", ".join(missing))
-
-    present_material = [k for k in _MATERIAL_GROUP if k in values]
-    if present_material and len(present_material) != len(_MATERIAL_GROUP):
-        absent = sorted(set(_MATERIAL_GROUP) - set(present_material))
-        raise ConfigError(
-            f"{source}: partial material group; also need "
-            + ", ".join(absent), line=lines[present_material[0]])
-    present_atom = [k for k in _ATOM_PAIR if k in values]
-    if present_atom and len(present_atom) != len(_ATOM_PAIR):
-        absent = sorted(set(_ATOM_PAIR) - set(present_atom))
-        raise ConfigError(
-            f"{source}: partial atom pair; also need " + ", ".join(absent),
-            line=lines[present_atom[0]])
+    for name, keys in _GROUPS:
+        present = [k for k in keys if k in values]
+        if present and len(present) != len(keys):
+            absent = sorted(set(keys) - set(present))
+            raise ConfigError(
+                f"{source}: partial {name}; also need " + ", ".join(absent),
+                line=lines[present[0]])
+    values = {key: values.get(key, spec[2])
+              for key, spec in KEY_TABLE.items()
+              if key in values or spec[2] is not None}
 
     try:
         geometry = GratingGeometry(
@@ -256,32 +204,29 @@ def parse_config(text, source="<config>"):
     except InvalidInputError as exc:
         raise ConfigError(f"{source}: geometry: {exc}",
                           line=lines["geometry.s0"]) from None
-    beam = BeamState(
-        mass_u=values["beam.mass_u"],
-        velocity=values["beam.velocity_mps"],
-        dv_over_u=values.get("beam.dv_over_u", _DEFAULTS["beam.dv_over_u"]))
-    potential = Potential(c3=values["potential.c3_mev_nm3"])
-
     material = None
-    if present_material:
+    if "material.band_gap_ev" in values:
         material = TaucLorentzParams(
             band_gap=values["material.band_gap_ev"],
             strength=values["material.strength_ev"],
             resonance=values["material.resonance_ev"],
             width=values["material.width_ev"])
     atom = None
-    if present_atom:
+    if "atom.alpha0_nm3" in values:
         atom = OneOscillatorAtom(alpha0=values["atom.alpha0_nm3"],
                                  energy=values["atom.ea_ev"])
 
     return RunConfig(
+        values=tuple(values.items()),
         species=values["beam.species"],
         geometry=geometry,
-        beam=beam,
-        potential=potential,
+        beam=BeamState(mass_u=values["beam.mass_u"],
+                       velocity=values["beam.velocity_mps"],
+                       dv_over_u=values["beam.dv_over_u"]),
+        potential=Potential(c3=values["potential.c3_mev_nm3"]),
         n_max=values["run.n_max"],
-        tolerance=values.get("run.tolerance", _DEFAULTS["run.tolerance"]),
-        seed=values.get("run.seed", _DEFAULTS["run.seed"]),
+        tolerance=values["run.tolerance"],
+        seed=values["run.seed"],
         material=material,
         g0=values.get("material.g0"),
         es_ev=values.get("material.es_ev"),

@@ -150,6 +150,8 @@ class C3FitResult:
     orders; evaluations counts distinct model evaluations.  degree is
     that of the Chebyshev surrogate the fit ran on, and surrogate_error
     the largest |exact - surrogate| model intensity at the optimum.
+    bound_limited is True when a Delta-chi^2 crossing fell back to a
+    search bound, so that the uncertainty is cut there.
     """
 
     c3: float
@@ -160,6 +162,7 @@ class C3FitResult:
     evaluations: int
     degree: int
     surrogate_error: float
+    bound_limited: bool
 
 
 def _strict_local_minima(values):
@@ -238,13 +241,15 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8):
     The one-sigma uncertainty is half the width of the
     chi^2 = chi2_min + Delta interval, Delta = 1 for weighted fits and
     chi2_min / dof otherwise (the usual rescaling when sigma is
-    unknown); it is floored at 1e-3 meV nm^3.
+    unknown); it is cut at the bounds, which sets bound_limited, and
+    floored at 1e-3 meV nm^3.
 
     The model is monochromatic: beam.dv_over_u is ignored.  Data made
-    with a velocity spread are fitted with a bias; on orders 1..10
-    averaged over the shipped configs' 3% spread the fit gives
-    C3 = 4.130 +- 0.024 (He*) and 4.116 +- 0.015 (Ne*) against a true
-    4.1 (ROADMAP.md: fit and synthesise the model that made the data).
+    with a velocity spread are fitted with a bias: an unweighted fit to
+    orders 1..10 of the 11-node velocity average over the shipped
+    configs' 3% spread gives C3 = 4.1303 +- 0.024 (He*, true 4.1) and
+    2.8144 +- 0.013 (Ne*, true 2.8) (ROADMAP.md: fit and synthesise the
+    model that made the data).
 
     Raises
     ------
@@ -351,6 +356,7 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8):
     # whose outer end reaches the target.  The stretch shrinks to x_hat if
     # chi^2(x_hat) already does, and to the bound if no stretch does.
     a, b = [], []
+    bound_limited = False
     for side in (1, -1):
         ends = np.concatenate(
             ([x_hat], crit[(crit - x_hat) * side > 0][::side], [side]))
@@ -361,6 +367,7 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8):
         else:
             a.append(float(side))
             b.append(float(side))
+            bound_limited = True
     # Newton steps from the midpoints, with chi^2 and its derivative on both
     # sides from one evaluation per step.  A step that would leave the
     # stretch, or that is not below half the step before last, becomes a
@@ -396,7 +403,8 @@ def fit_c3(observed, geometry, beam, bounds=(0.0, 20.0), tol=1e-8):
         chi2=float(np.sum(weights * residuals**2)), orders=observed.orders,
         residuals=residuals, evaluations=len(values) + 1, degree=n,
         surrogate_error=float(np.abs(exact - _cheb_values(coeffs, x_hat))
-                              .max()))
+                              .max()),
+        bound_limited=bound_limited)
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,12 @@ class OneOscillatorAtom:
 class TabulatedPolarizability:
     """alpha(iE) sampled on a grid starting at E = 0.
 
-    Between nodes the curve is interpolated shape-preservingly (linear in
-    E up to the first positive node, piecewise cubic in log E beyond);
-    past the last node it falls off as alpha_last (E_last / E)^2, the
-    correct asymptotic of any finite-f-sum polarizability.
+    Between nodes the curve is interpolated shape-preservingly: up to the
+    first positive node by a PCHIP in E through the first four nodes (or
+    all of them, if fewer), beyond it by a PCHIP in log E through the
+    positive nodes.  Past the last node it falls off as
+    alpha_last (E_last / E)^2, the correct asymptotic of any finite-f-sum
+    polarizability.
     """
 
     energy: np.ndarray
@@ -366,25 +368,22 @@ def _atom_alpha(atom):
         "atom must be OneOscillatorAtom or TabulatedPolarizability")
 
 
-def c3_lifshitz(atom, surface, tol=1e-8, e_ref=None):
+def c3_lifshitz(atom, surface, tol=1e-8):
     """C3 = (1 / 4 pi) Int_0^inf alpha(iE) g(iE) dE, in meV nm^3.
 
     The half-line maps to x in [0, pi/2) via E = e_ref tan(x); composite
     Gauss-Legendre panels double until the value moves by less than tol
-    relative.  e_ref defaults to the atom's oscillator energy (or the
-    half-height energy of a tabulated alpha), which puts the integrand's
-    bulk in the middle of the x range.
+    relative.  e_ref is the atom's oscillator energy (or the half-height
+    energy of a tabulated alpha), which puts the integrand's bulk in the
+    middle of the x range.
 
     Returns a C3Result whose error field is the last doubling change.
     The surface may be a LorentzSurface, a CachedDielectric or raw
     TaucLorentzParams; the latter two give g(iE) in closed form.
     """
     _require(_finite([tol]) and 0 < tol <= 1e-2, "tol must lie in (0, 1e-2]")
-    alpha_fn, auto_ref = _atom_alpha(atom)
+    alpha_fn, e_ref = _atom_alpha(atom)
     g_fn = _surface_g(surface)
-    if e_ref is None:
-        e_ref = auto_ref
-    _require(_finite([e_ref]) and e_ref > 0, "e_ref must be positive")
 
     x_hi = math.pi / 2.0
     gx, gw = leggauss(16)

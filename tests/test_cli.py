@@ -171,6 +171,7 @@ class TestFit:
             float(rep[f"residual.{n}"])
         assert rep["diag.fit_degree"] == "32"
         assert 0 <= float(rep["diag.fit_surrogate_error"]) <= 1e-8
+        assert rep["diag.fit_bound_limited"] == "false"
         # the embedded config must reproduce the fit exactly
         cfg2 = tmp_path / "replay.cfg"
         cfg2.write_text("\n".join(
@@ -199,6 +200,23 @@ class TestFit:
         c3 = load_config(cfg_path).potential.c3
         assert float(rep["result.chi2"]) < 1.0
         assert abs(float(rep["result.c3_mev_nm3"]) - c3) / c3 < 5e-3
+
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    def test_simulate_output_fits_unweighted(self, config, request,
+                                             tmp_path):
+        # simulate writes no sigma: weighted by the ~1e-14 quadrature
+        # error estimate, the fit sat at the 1e-3 floor with chi2 ~ 1e19
+        cfg_path = request.getfixturevalue(config)
+        data = tmp_path / "data.csv"
+        report = tmp_path / "fit.txt"
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(data)]) == 0
+        assert data.read_text().splitlines()[0] == "n,intensity"
+        assert main(["fit", "--config", cfg_path, "--data", str(data),
+                     "--out", str(report)]) == 0
+        rep = read_report(report)
+        assert float(rep["result.chi2"]) < 1.0
+        assert float(rep["result.uncertainty_mev_nm3"]) > 1e-3
 
     def test_boundary_minimum_is_numerical_failure(self, fast_cfg, tmp_path,
                                                    capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +116,17 @@ class TestParse:
 
 
 class TestRoundTrip:
-    def test_resolved_items_reparse_identically(self, he_config_path):
-        cfg = load_config(he_config_path)
+    # every wedge angle on a 0.1 degree grid: a value carried through
+    # radians came back as 1.5000000000000002 for 1.5
+    @pytest.mark.parametrize("config", ["he_config_path", "ne_config_path"])
+    @pytest.mark.parametrize("beta", [f"{k // 10}.{k % 10}"
+                                      for k in range(900)])
+    def test_resolved_items_reparse_identically(self, config, beta,
+                                                request):
+        text = re.sub(r"(?m)^geometry\.beta_deg = .*$",
+                      f"geometry.beta_deg = {beta}",
+                      Path(request.getfixturevalue(config)).read_text())
+        cfg = parse_config(text)
         text = "\n".join(f"{k} = {v}" for k, v in cfg.resolved_items())
         again = parse_config(text)
         assert again == cfg

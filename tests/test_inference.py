@@ -179,10 +179,12 @@ class TestFitC3:
                                      seed=3, tol=cfg.tolerance)
         wide = fit_c3(observed, cfg.geometry, cfg.beam, tol=cfg.tolerance)
         assert wide.uncertainty > 0.02
+        assert not wide.bound_limited
         lo, hi = wide.c3 - 0.01, wide.c3 + 0.01
         res = fit_c3(observed, cfg.geometry, cfg.beam, bounds=(lo, hi),
                      tol=cfg.tolerance)
         assert res.uncertainty == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+        assert res.bound_limited
 
     def test_noisy_recovery_within_uncertainty_scale(self, geometry,
                                                      he_beam):
