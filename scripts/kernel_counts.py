@@ -8,14 +8,17 @@ machine:
     core_calls   slit-quadrature kernel calls (each runs one setup)
     items        slit integrals evaluated, one b-row each
     outer_nodes  Gauss-Legendre nodes of the coarse and fine passes
-    cos_entries  cosines formed (b values times nodes, every product)
+    cos_entries  cosines formed (b values times nodes, every product; a
+                 stacked product over items counts items x b x nodes)
     escalations  items that ran the escalation pass
 
 A last line gives the totals over all ops.  The counts come from wrapping
 grating._cos_dot, the one place cosines are formed: a product on real
 nodes with two columns is an item's pass pair, one with a single column an
 escalation, and products made under the same frame of the nearest
-enclosing `_slit*` function belong to one kernel call.  Run from anywhere:
+enclosing `_slit*` function belong to one kernel call.  A product under no
+such frame means the kernel moved; the script then exits with status 1
+rather than report counts it cannot attribute.  Run from anywhere:
 
     python scripts/kernel_counts.py --seed 1 --ops 24
 """
@@ -41,6 +44,10 @@ def _kernel_frame():
     frame = sys._getframe(2)
     while frame is not None and not frame.f_code.co_name.startswith("_slit"):
         frame = frame.f_back
+    if frame is None:
+        raise SystemExit("kernel_counts.py: grating._cos_dot was called "
+                         "outside any _slit* function; the kernel calls "
+                         "cannot be counted")
     return frame
 
 
@@ -58,9 +65,9 @@ def main():
         frame = _kernel_frame()
         if not any(frame is f for f in frames):
             frames.append(frame)
-        counts["cos_entries"] += bs.size * nodes.size
+        counts["cos_entries"] += bs.size * nodes.shape[-1]
         if np.isrealobj(nodes):
-            pair = core.shape[1] == 2
+            pair = core.shape[-1] == 2
             counts["items" if pair else "escalations"] += 1
             counts["outer_nodes"] += nodes.size if pair else 0
         return cos_dot(bs, nodes, core, half)

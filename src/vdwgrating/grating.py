@@ -33,6 +33,7 @@ interference factor.  Units follow constants.py (nm, eV, m/s, rad).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,9 +137,9 @@ class BeamState:
         _require(self.velocity > 0, "velocity must be positive")
         _require(0 <= self.dv_over_u < 1, "dv_over_u must lie in [0, 1)")
 
-    @property
+    @functools.cached_property
     def wavelength(self):
-        """de Broglie wavelength lambda = h / (m v), nm."""
+        """de Broglie wavelength lambda = h / (m v), nm, computed once."""
         return de_broglie_wavelength(self.mass_u, self.velocity)
 
     @property
@@ -335,26 +336,29 @@ def transmission_factor(zeta, potential, geometry, beam):
 # at s; on a tapered wall phi(z) = w is a quartic with exactly one root in
 # Re z > 0, so a solve that converges there is on the path.  The outer
 # piece [s, s0/2] gets 8-point Gauss-Legendre panels across which neither
-# phi nor b zeta moves by more than the phase budget and whose widths grow
-# geometrically from s, as phi varies on the scale of zeta.  Unless
-# s = s0/2, phi(s) <= max(_PHI_SPLIT, b s0), so the node count is set by
-# the budget, the Laguerre order, log(s0/s) and b s0, not by C3/v.  All
+# phi nor b zeta moves by more than the phase budget, whose end ratio
+# stays within 1 + budget/2, as phi varies on the scale of zeta, and whose
+# width stays within (s0/2 - s)/8.  One mesh meets the four bounds at
+# once: phase targets from s while their panels meet the other bounds,
+# then a geometric run, then equal steps (_mesh_edges).  Unless s = s0/2,
+# phi(s) <= max(_PHI_SPLIT, b s0), so the node count is set by the
+# budget, the Laguerre order, log(s0/s) and b s0, not by C3/v.  All
 # orders share the nodes.
 #
 # The coarse pass (budget pi/2, 10 Laguerre nodes) and the fine pass
-# (pi/4, 20) run together: the coarse mesh keeps every other edge of each
-# piece of the fine one (phase targets phi(s) - k pi/4, geometric grading
-# s (s0/(2s))^(k/m) with m even, b steps k pi/(4 b_max)), one Newton solve
-# places the path points of both rules, and one cosine matrix serves the
-# outer nodes of both passes, one the wall nodes, each against one column
-# per pass.  An item that fails the pair runs the escalation pass (pi/8,
-# 40) on its own.
+# (pi/4, 20) run together: the coarse mesh keeps every other edge of the
+# fine one, one Newton solve places the path points of both rules, and one
+# cosine matrix serves the outer nodes of both passes, one the wall nodes,
+# each against one column per pass.  An item that fails the pair runs the
+# escalation pass (pi/8, 40) on its own.
 #
 # One call evaluates M items (A_m, b-row_m) of one geometry and one tol:
 # the C3 grid of a fit, or the velocity nodes of an average.  The setup
-# runs once for all of them (split points, every mesh as NaN-padded rows
-# of edges, one Newton solve for every path point, tau), and then each
-# item gets its own products, so that its cosine matrices stay in cache.
+# runs once for all of them (split points, every mesh as rows of edges
+# padded with s0/2, one Newton solve for every path point, tau).  Then
+# each item gets its own product for the panels, so that its cosine
+# matrix stays in cache, and the path points, as many for every item, go
+# through one stacked product.
 #
 # Sampling in b: F(b) = Int_0^{s0/2} cos[b (s0/2 - zeta)] tau dzeta is
 # entire, with |F(b)| <= (s0/2) e^{|Im b| s0/2}.  Map [b_min, b_max] onto
@@ -395,7 +399,10 @@ def _invert_phase(ph, targets, z, m=0):
         else:
             du = (np.log(phi) - log_t) / slope
         u = u - du
-        if np.abs(du).max(initial=0.0) <= 1e-10:
+        # quadratic convergence: a last step below 1e-6 leaves ~1e-12 in
+        # log z; a split or an edge need not be exact, as the pieces on
+        # both sides of it take the same root
+        if np.abs(du).max(initial=0.0) <= 1e-6:
             break
     return np.exp(u)
 
@@ -416,57 +423,72 @@ def _split_point(ph, half, b_max):
     return s
 
 
+def _phase_edges(ph, s, half, budget):
+    """Rows s, z_1, z_2, ..., half, inf per item (A > 0): phi(z_k) =
+    phi(s) - k budget on [s, half], and half past an item's last z_k.
+
+    One Newton solve from the local power law at s, where a stand-in
+    target phi(s) past the last z_k holds at the start.
+    """
+    phi_s, slope = ph.phi_slope(s)
+    phi_half = ph.phi(half)
+    k = np.arange(1.0, np.ceil((phi_s - phi_half).max() / budget) + 1.0)
+    t = phi_s - budget * k
+    inside = t > phi_half
+    t = np.where(inside, t, phi_s)
+    z = _invert_phase(ph, t, s * np.exp(np.log(t / phi_s) / slope))
+    return np.concatenate([s, np.where(inside, z, half), np.inf + s],
+                          axis=-1)
+
+
 def _mesh_edges(ph, s, half, b_max, budget, strides):
     """Panel edges on [s, half] of every item, one array per stride with a
-    row per item, ascending and NaN-padded at the end, bounding the phase
-    change per panel by stride * budget; A, s and b_max are columns.
+    row per item, ascending from s and padded with half; A, s and b_max
+    are columns.
 
-    Every piece is built once at `budget`, and a stride keeps every
-    stride-th of its edges past s, so the meshes nest.  Repeated edges
-    bound empty panels, which get no nodes.
+    A fine panel keeps the change of phi and of b_max zeta within budget,
+    the ratio of its ends within 1 + budget/2 and its width within
+    (half - s)/8.  Its edges run from s in three stretches: the phase
+    edges (_phase_edges) up to the first of their panels to break another
+    bound; then a geometric run of that ratio up to the first panel too
+    wide; then equal steps of the widest width allowed.  A panel of a
+    later stretch spans no more log zeta, or no more zeta, than a panel
+    nearer the wall across which phi changed by at most budget (the
+    broken phase panel or a geometric one), and phi changes ever more
+    slowly in both, so it keeps the phase bound too.  A stride keeps
+    every stride-th edge, so the meshes nest and a panel of stride k
+    meets k times the bounds.  Repeated edges at half bound empty panels,
+    which get no nodes.
     """
-
-    def piece(stop, edges):
-        """edges(k) for k = 1, 2, ... as np.arange(1.0, stop), NaN past
-        each item's last k."""
-        size = np.maximum(np.ceil(stop - 1.0), 0.0)
-        k = np.arange(1.0, size.max() + 1.0)
-        return np.where(k <= size, edges(k), np.nan)
-
-    # the wall pieces are empty at A = 0, as they are at s = half; there
-    # a stand-in A = 1 keeps the Newton solve finite
-    live = ph.a > 0
-    sw = np.where(live, s, half)
-    ph = _WallPhase(np.where(live, ph.a, 1.0), ph.c)
-    phi_s, slope = ph.phi_slope(sw)
-    phi_half = ph.phi(half)
-
-    def targets(k):
-        # k budget is exactly (k / 2) (2 budget): the targets nest in
-        # floats; past an item's last edge they stop at phi(half)
-        t = np.maximum(phi_s - budget * k, phi_half)
-        # Newton starts from the local power law at s
-        return _invert_phase(ph, t, sw * np.exp(np.log(t / phi_s) / slope))
-
-    pieces = [piece((phi_s - phi_half) / budget, targets)]
-    # geometric grading in closed form (np.geomspace costs ~37 us a
-    # call), with m a multiple of the largest stride
-    m = np.ceil(np.log(half / sw) / math.log1p(budget / 2.0))
-    m = np.maximum(np.ceil(m / strides[0]), 1.0) * strides[0]
-    pieces.append(piece(m, lambda k: sw * (half / sw) ** (k / m)))
-    # b steps; there are none where b_max (half - s) <= budget
+    ratio = 1.0 + budget / 2.0
     step = budget / np.maximum(b_max, budget / half)
-    pieces.append(piece((half - s) / step, lambda k: s + step * k))
-    # 9 shared edges, computed as np.linspace computes them
-    shared = (half - s) / 8.0 * np.arange(9.0) + s
-    shared[..., -1] = half
-    meshes = []
-    for stride in strides:
-        edges = np.concatenate(
-            [shared] + [p[..., stride - 1::stride] for p in pieces], axis=-1)
-        edges.sort(axis=-1)
-        meshes.append(np.clip(edges, s, half))
-    return meshes
+    # s = half leaves no panel, and any positive width keeps that finite
+    width = np.where(s < half, np.minimum(step, (half - s) / 8.0), step)
+    # no phase or geometric stretch at A = 0, where s = 0; a stand-in A = 1
+    # on [half, half] keeps them finite there
+    live = ph.a > 0
+    zk = _phase_edges(_WallPhase(np.where(live, ph.a, 1.0), ph.c),
+                      np.where(live, s, half), half, budget)
+    lo, hi = zk[..., :-1], zk[..., 1:]
+    # the panel to inf breaks the bounds, so the first break is found
+    phase = (hi <= np.minimum(lo * ratio, lo + width)).argmin(
+        axis=-1, keepdims=True) * live
+    za = zk[np.arange(zk.shape[0])[:, None], phase]
+    # geometric panel j from za is za ratio^(j-1) (ratio - 1) wide; there
+    # is none from the stand-in's za = half
+    geometric = np.maximum(np.floor(np.log(
+        width / ((ratio - 1.0) * za)) / math.log(ratio)) + 1.0, 0.0)
+    za = np.where(live, za, s)
+    zc = za * ratio**geometric
+    run = phase + geometric
+    panels = (run + np.ceil((half - zc) / width)).max()
+    k = np.arange(1.0, np.ceil(panels / strides[0]) * strides[0] + 1.0)
+    edges = (za * ratio**np.minimum(k - phase, geometric)
+             + width * np.maximum(k - run, 0.0))
+    n = min(zk.shape[-1] - 2, k.size)
+    np.copyto(edges[..., :n], hi[..., :n], where=k[:n] <= phase)
+    edges = np.concatenate([s, np.minimum(edges, half)], axis=-1)
+    return [edges[..., ::stride] for stride in strides]
 
 
 def _gauss_nodes(ph, meshes):
@@ -475,7 +497,7 @@ def _gauss_nodes(ph, meshes):
     each node; and the node count of each item in each mesh."""
     lo = np.concatenate([edges[..., :-1] for edges in meshes], axis=-1)
     hi = np.concatenate([edges[..., 1:] for edges in meshes], axis=-1)
-    panels = hi > lo  # False at NaN
+    panels = hi > lo  # False between repeated edges
     sizes, end = [], 0
     for edges in meshes:
         sizes.append(panels[..., end:end + edges.shape[-1] - 1].sum(axis=-1))
@@ -544,23 +566,24 @@ def _wall_nodes(ph, s, rules):
 
 
 def _cos_dot(bs, nodes, core, half):
-    """out[j, k] = sum_i cos(bs[j] (half - nodes[i])) core[i, k], chunked
-    over bs at 4M cosines.
+    """out[..., j, k] = sum_i cos(bs[..., j] (half - nodes[..., i]))
+    core[..., i, k]: one product, or a stack of them when every argument
+    has a leading item axis; chunked over bs at 4M cosines.
 
     For real nodes the cosine matrix is real: it multiplies each complex
     column of core as two real ones, since a real-by-complex product would
     first copy the matrix to complex.
     """
-    span = half - nodes
+    span = (half - nodes)[..., None, :]
     real = np.isrealobj(span)
     rhs = np.ascontiguousarray(core, dtype=complex)
-    out = np.empty((bs.size, rhs.shape[1]), dtype=complex)
+    out = np.empty(bs.shape + rhs.shape[-1:], dtype=complex)
     if real:
         rhs = rhs.view(float)
     step = max(1, int(4_000_000 // max(nodes.size, 1)))
-    for i in range(0, bs.size, step):
-        block = np.cos(bs[i:i + step, None] * span[None, :]) @ rhs
-        out[i:i + step] = block.view(complex) if real else block
+    for i in range(0, bs.shape[-1], step):
+        block = np.cos(bs[..., i:i + step, None] * span) @ rhs
+        out[..., i:i + step, :] = block.view(complex) if real else block
     return out
 
 
@@ -580,12 +603,12 @@ def _passes(ph, rows, half, s, budget, rules):
             parts.append(core[end:end + size])
             end += size
         out[m] = _cos_dot(row, nodes[start:end], _columns(parts), half)
-    # the wall piece, which A = 0 does not have
+    # the wall piece, which A = 0 does not have: every item has as many
+    # path points, so one stacked product serves them all
     wall = np.flatnonzero(ph.a > 0)
     if wall.size:
-        for m, z, weights in zip(wall, *_wall_nodes(
-                _WallPhase(ph.a[wall], ph.c), s[wall], rules)):
-            out[m] += _cos_dot(rows[m], z, weights, half)
+        out[wall] += _cos_dot(rows[wall], *_wall_nodes(
+            _WallPhase(ph.a[wall], ph.c), s[wall], rules), half)
     return out
 
 
