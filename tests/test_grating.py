@@ -456,9 +456,11 @@ class TestSlitQuadrature:
                   (mesh_edges(ph, s, half, b_max, budget / 2, [1]),
                    budget / 2, [1])]
         slack = 1.0 + 1e-9
+        a, split, bm = ph.a[0, 0], s[0, 0], b_max[0, 0]
+        phi = grating._WallPhase(a, ph.c).phi
         for edges, budget, strides in meshes:
             for stride, e in zip(strides, edges):
-                e, a, split, bm = e[0], ph.a[0, 0], s[0, 0], b_max[0, 0]
+                e = e[0]
                 assert e[0] == split and e[-1] == half
                 assert np.all(np.diff(e) >= 0)
                 lo, hi = e[:-1][e[1:] > e[:-1]], e[1:][e[1:] > e[:-1]]
@@ -466,7 +468,6 @@ class TestSlitQuadrature:
                 assert np.all(bm * (hi - lo) <= bound)
                 assert np.all(hi - lo <= stride * (half - split) / 8 * slack)
                 if a > 0:
-                    phi = grating._WallPhase(a, ph.c).phi
                     assert np.all(phi(lo) - phi(hi) <= bound)
                     assert np.all(np.log(hi / lo) <= stride * math.log1p(
                         budget / 2) * slack)
