@@ -31,6 +31,7 @@ from .config import KEY_TABLE, REQUIRED, load_config
 from .dataio import (
     load_orders_csv,
     load_polarizability_table,
+    save_eps_csv,
     save_orders_csv,
     save_scan_csv,
     write_report,
@@ -75,6 +76,7 @@ def _key_table_help():
 
 
 def _build_parser():
+    epilog = _key_table_help()
     parser = _Parser(
         prog="vdwgrating",
         description=(
@@ -82,60 +84,51 @@ def _build_parser():
             "attractive -C3/l^3 wall potential: simulate order "
             "intensities, synthesize noisy data, fit C3, and predict C3 "
             "from Lifshitz theory."),
-        epilog=_key_table_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name, text):
+        return sub.add_parser(
+            name, help=text, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
 
     def add_common(p):
         p.add_argument("--config", required=True,
                        help="path to a run config file")
         p.add_argument("--out", required=True, help="output path")
 
-    p_sim = sub.add_parser(
-        "simulate", help="clean order intensities or angular scan",
-        epilog=_key_table_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    add_common(p_sim)
-    mode = p_sim.add_mutually_exclusive_group()
-    mode.add_argument("--orders", action="store_true",
-                      help="write order intensities (default)")
-    mode.add_argument("--scan", action="store_true",
-                      help="write an angular scan")
-    p_sim.add_argument("--points", type=int, default=4001,
+    def add_observable(p, min_order=False):
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--orders", action="store_true",
+                          help="write order intensities (default)")
+        mode.add_argument("--scan", action="store_true",
+                          help="write an angular scan")
+        if min_order:
+            p.add_argument("--min-order", type=int, default=1,
+                           help="lowest synthesized order (default 1)")
+        p.add_argument("--points", type=int, default=4001,
                        help="scan grid size, 16 to 10^6 (default 4001)")
-    p_sim.add_argument("--n-slits", type=int, default=100,
+        p.add_argument("--n-slits", type=int, default=100,
                        help="coherently illuminated slits (default 100)")
+
+    p_sim = add_command("simulate", "clean order intensities or angular scan")
+    add_common(p_sim)
+    add_observable(p_sim)
     p_sim.add_argument("--quad-points", type=int, default=11,
                        help="velocity-average nodes, odd, at most 101 "
                             "(default 11)")
 
-    p_syn = sub.add_parser(
-        "synth", help="noisy synthetic observables",
-        epilog=_key_table_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_syn = add_command("synth", "noisy synthetic observables")
     add_common(p_syn)
     p_syn.add_argument("--noise", type=float, required=True,
                        help="relative noise amplitude, e.g. 0.01")
     p_syn.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: run.seed from config)")
-    mode = p_syn.add_mutually_exclusive_group()
-    mode.add_argument("--orders", action="store_true",
-                      help="write order intensities (default)")
-    mode.add_argument("--scan", action="store_true",
-                      help="write an angular scan")
-    p_syn.add_argument("--min-order", type=int, default=1,
-                       help="lowest synthesized order (default 1)")
-    p_syn.add_argument("--points", type=int, default=4001,
-                       help="scan grid size, 16 to 10^6 (default 4001)")
-    p_syn.add_argument("--n-slits", type=int, default=100,
-                       help="coherently illuminated slits (default 100)")
+    add_observable(p_syn, min_order=True)
 
-    p_fit = sub.add_parser(
-        "fit", help="fit C3 to measured order intensities",
-        epilog=_key_table_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_fit = add_command("fit", "fit C3 to measured order intensities")
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--data", required=True,
                        help="order-intensity CSV (n,intensity[,sigma])")
@@ -145,10 +138,7 @@ def _build_parser():
     p_fit.add_argument("--c3-max", type=float, default=20.0,
                        help="upper C3 search bound (default 20)")
 
-    p_th = sub.add_parser(
-        "theory", help="Lifshitz-theory C3 prediction",
-        epilog=_key_table_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_th = add_command("theory", "Lifshitz-theory C3 prediction")
     p_th.add_argument("--config", required=True)
     p_th.add_argument("--out", required=True, help="report path")
     p_th.add_argument("--route", choices=("kk", "one-osc", "table"),
@@ -312,11 +302,7 @@ def _cmd_theory(args):
             error=0.0)
 
     if args.dump_eps is not None:
-        rows = ["energy_ev,eps_iw"]
-        rows += [f"{float(e)!r},{float(v)!r}"
-                 for e, v in zip(cache.grid, cache.values)]
-        with open(args.dump_eps, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        save_eps_csv(args.dump_eps, cache.grid, cache.values)
 
     items = _report_header("theory")
     items += [

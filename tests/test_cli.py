@@ -10,7 +10,7 @@ import pytest
 import vdwgrating
 from vdwgrating import inference, order_intensities, \
     velocity_averaged_intensities
-from vdwgrating.cli import main
+from vdwgrating.cli import _key_table_help, main
 from vdwgrating.config import KEY_TABLE, load_config
 from vdwgrating.dataio import load_orders_csv, load_scan_csv, read_report
 from vdwgrating.lifshitz import c3_one_oscillator
@@ -402,12 +402,122 @@ class TestFailureModes:
         assert "input: DataFormatError" in capsys.readouterr().err
 
 
+# `vdwgrating <cmd> --help` above the config-key epilog, at 80 columns
+HELP_HEADS = {
+    '': (
+        'usage: vdwgrating [-h] [--version] '
+        '{simulate,synth,fit,theory} ...\n'
+        '\n'
+        'Atom-beam diffraction from a transmission grating with an '
+        'attractive -C3/l^3 wall potential: simulate order '
+        'intensities, synthesize noisy data, fit C3, and predict C3 '
+        'from Lifshitz theory.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {simulate,synth,fit,theory}\n'
+        '    simulate            clean order intensities or angular '
+        'scan\n'
+        '    synth               noisy synthetic observables\n'
+        '    fit                 fit C3 to measured order intensities\n'
+        '    theory              Lifshitz-theory C3 prediction\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and exit\n"
+    ),
+    'simulate': (
+        'usage: vdwgrating simulate [-h] --config CONFIG --out OUT '
+        '[--orders | --scan]\n'
+        '                           [--points POINTS] [--n-slits '
+        'N_SLITS]\n'
+        '                           [--quad-points QUAD_POINTS]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config CONFIG       path to a run config file\n'
+        '  --out OUT             output path\n'
+        '  --orders              write order intensities (default)\n'
+        '  --scan                write an angular scan\n'
+        '  --points POINTS       scan grid size, 16 to 10^6 (default '
+        '4001)\n'
+        '  --n-slits N_SLITS     coherently illuminated slits (default '
+        '100)\n'
+        '  --quad-points QUAD_POINTS\n'
+        '                        velocity-average nodes, odd, at most '
+        '101 (default 11)\n'
+    ),
+    'synth': (
+        'usage: vdwgrating synth [-h] --config CONFIG --out OUT '
+        '--noise NOISE\n'
+        '                        [--seed SEED] [--orders | --scan]\n'
+        '                        [--min-order MIN_ORDER] [--points '
+        'POINTS]\n'
+        '                        [--n-slits N_SLITS]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config CONFIG       path to a run config file\n'
+        '  --out OUT             output path\n'
+        '  --noise NOISE         relative noise amplitude, e.g. 0.01\n'
+        '  --seed SEED           RNG seed (default: run.seed from '
+        'config)\n'
+        '  --orders              write order intensities (default)\n'
+        '  --scan                write an angular scan\n'
+        '  --min-order MIN_ORDER\n'
+        '                        lowest synthesized order (default 1)\n'
+        '  --points POINTS       scan grid size, 16 to 10^6 (default '
+        '4001)\n'
+        '  --n-slits N_SLITS     coherently illuminated slits (default '
+        '100)\n'
+    ),
+    'fit': (
+        'usage: vdwgrating fit [-h] --config CONFIG --data DATA --out '
+        'OUT\n'
+        '                      [--c3-min C3_MIN] [--c3-max C3_MAX]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --config CONFIG\n'
+        '  --data DATA      order-intensity CSV (n,intensity[,sigma])\n'
+        '  --out OUT        report path\n'
+        '  --c3-min C3_MIN  lower C3 search bound (default 0)\n'
+        '  --c3-max C3_MAX  upper C3 search bound (default 20)\n'
+    ),
+    'theory': (
+        'usage: vdwgrating theory [-h] --config CONFIG --out OUT\n'
+        '                         [--route {kk,one-osc,table}] '
+        '[--dump-eps PATH]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config CONFIG\n'
+        '  --out OUT             report path\n'
+        '  --route {kk,one-osc,table}\n'
+        '                        kk: full Kramers-Kronig surface '
+        'response; one-osc:\n'
+        '                        closed-form Lorentz surface; table: '
+        'tabulated\n'
+        '                        alpha(iE) (default kk)\n'
+        '  --dump-eps PATH       also write the cached eps(iE) grid as '
+        'CSV (kk and\n'
+        '                        table routes)\n'
+    ),
+}
+
+
 class TestHelpAndVersion:
     def test_help_lists_every_config_key(self, capsys):
         assert main(["--help"]) == 0
         text = capsys.readouterr().out
         for key in KEY_TABLE:
             assert key in text
+
+    @pytest.mark.parametrize("command", sorted(HELP_HEADS))
+    def test_help_text_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr().out == (
+            HELP_HEADS[command] + "\n" + _key_table_help() + "\n")
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -12,6 +12,7 @@ from vdwgrating.dataio import (
     load_polarizability_table,
     load_scan_csv,
     read_report,
+    save_eps_csv,
     save_orders_csv,
     save_scan_csv,
     write_report,
@@ -90,6 +91,13 @@ class TestOrdersCsv:
             load_orders_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["0.0", "1e308"])
+    def test_sum_must_be_positive_and_finite(self, tmp_path, value):
+        path = tmp_path / "orders.csv"
+        path.write_text(f"n,intensity\n0,{value}\n1,{value}\n")
+        with pytest.raises(DataFormatError, match="sum to"):
+            load_orders_csv(path)
+
     def test_empty_body(self, tmp_path):
         path = tmp_path / "orders.csv"
         path.write_text("n,intensity\n")
@@ -128,8 +136,9 @@ class TestScanCsv:
     def test_non_monotone_angles(self, tmp_path):
         path = tmp_path / "scan.csv"
         path.write_text("theta_rad,counts\n0.0,1.0\n0.2,1.0\n0.1,1.0\n")
-        with pytest.raises(DataFormatError, match="increasing"):
+        with pytest.raises(DataFormatError, match="increasing") as err:
             load_scan_csv(path)
+        assert err.value.line == 4
 
     def test_non_numeric_row(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -137,6 +146,23 @@ class TestScanCsv:
         with pytest.raises(DataFormatError) as err:
             load_scan_csv(path)
         assert err.value.line == 3
+
+    def test_negative_count_line_number(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("# n_slits = 5\ntheta_rad,counts\n0.0,1.0\n"
+                        "0.1,-2.0\n")
+        with pytest.raises(DataFormatError, match="negative") as err:
+            load_scan_csv(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+    def test_bad_n_slits_names_comment_line(self, tmp_path, value):
+        path = tmp_path / "scan.csv"
+        path.write_text(f"theta_rad,counts\n# n_slits = {value}\n"
+                        "0.0,1.0\n0.1,2.0\n")
+        with pytest.raises(DataFormatError, match="n_slits") as err:
+            load_scan_csv(path)
+        assert err.value.line == 2
 
 
 class TestPolarizabilityTable:
@@ -167,8 +193,9 @@ class TestPolarizabilityTable:
     def test_increasing_alpha_rejected(self, tmp_path):
         path = tmp_path / "alpha.dat"
         path.write_text("0.0 0.05\n1.0 0.06\n")
-        with pytest.raises(DataFormatError, match="non-increasing"):
+        with pytest.raises(DataFormatError, match="non-increasing") as err:
             load_polarizability_table(path)
+        assert err.value.line == 2
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "alpha.dat"
@@ -177,11 +204,76 @@ class TestPolarizabilityTable:
             load_polarizability_table(path)
         assert err.value.line == 1
 
+    def test_first_energy_line_after_comment(self, tmp_path):
+        path = tmp_path / "alpha.dat"
+        path.write_text("# no static row\n0.5 0.05\n1.0 0.04\n")
+        with pytest.raises(DataFormatError, match="static") as err:
+            load_polarizability_table(path)
+        assert err.value.line == 2
+
     def test_single_row_rejected(self, tmp_path):
         path = tmp_path / "alpha.dat"
         path.write_text("0.0 0.05\n")
         with pytest.raises(DataFormatError, match="two table rows"):
             load_polarizability_table(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("loader, text", [
+    (load_orders_csv, "n,intensity\n1,0.5\n2,{}\n"),
+    (load_scan_csv, "theta_rad,counts\n0.0,1.0\n0.1,{}\n"),
+    (load_polarizability_table, "# alpha(iE)\n0.0 0.05\n1.0 {}\n"),
+], ids=["orders", "scan", "alpha"])
+def test_non_finite_cell_names_its_line(tmp_path, loader, text, cell):
+    path = tmp_path / "data.txt"
+    path.write_text(text.format(cell))
+    with pytest.raises(DataFormatError, match="finite") as err:
+        loader(path)
+    assert err.value.line == 3
+
+
+class TestGoldenBytes:
+    """The exact bytes each writer produces."""
+
+    def test_orders(self, tmp_path):
+        path = tmp_path / "orders.csv"
+        save_orders_csv(path, OrderIntensities(
+            (-1, 0, 1), np.array([0.25, 0.5, 0.25])))
+        assert path.read_text() == (
+            "n,intensity\n-1,0.25\n0,0.5\n1,0.25\n")
+        save_orders_csv(path, OrderIntensities(
+            (-1, 0, 1), np.array([0.25, 0.5, 0.25]),
+            np.array([1e-3, 0.1, 1 / 3])))
+        assert path.read_text() == (
+            "n,intensity,sigma\n"
+            "-1,0.25,0.001\n"
+            "0,0.5,0.1\n"
+            "1,0.25,0.3333333333333333\n")
+
+    def test_scan_with_metadata(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        scan = AngularScan(np.array([-1e-3, 0.0, 2e-3]),
+                           np.array([1.0, 123456.789, 0.0]), n_slits=7)
+        save_scan_csv(path, scan, metadata={"seed": 3,
+                                            "noise_fraction": "0.01"})
+        assert path.read_text() == (
+            "# n_slits = 7\n"
+            "# seed = 3\n"
+            "# noise_fraction = 0.01\n"
+            "theta_rad,counts\n"
+            "-0.001,1.0\n"
+            "0.0,123456.789\n"
+            "0.002,0.0\n")
+
+    def test_eps_dump(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        save_eps_csv(path, np.array([0.0, 1e-3, 1e4]),
+                     np.array([3.8677557917382193, 2.5e-05, 1.0]))
+        assert path.read_text() == (
+            "energy_ev,eps_iw\n"
+            "0.0,3.8677557917382193\n"
+            "0.001,2.5e-05\n"
+            "10000.0,1.0\n")
 
 
 class TestReport:
